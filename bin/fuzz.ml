@@ -10,8 +10,8 @@
      dune exec bin/fuzz.exe -- --rounds 200 --ops 400 --seed 1
 
    This is the repository's standing differential test: the per-module
-   suites check behaviours, the fuzzer checks that six independent
-   memory managers agree on what a well-behaved program computes. *)
+   suites check behaviours, the fuzzer checks that seven memory
+   managers agree on what a well-behaved program computes. *)
 
 open Cmdliner
 
@@ -118,6 +118,12 @@ let allocators ~seed =
         Diehard.Heap.allocator
           (Diehard.Heap.create
              ~config:(Diehard.Config.v ~heap_size:(48 lsl 20) ~seed ())
+             (Mem.create ())) );
+    ( "diehard-replicated",
+      fun () ->
+        Diehard.Heap.allocator
+          (Diehard.Heap.create
+             ~config:(Diehard.Config.v ~heap_size:(48 lsl 20) ~seed ~replicated:true ())
              (Mem.create ())) );
     ( "diehard-adaptive",
       fun () -> Diehard.Adaptive.allocator (Diehard.Adaptive.create ~seed (Mem.create ())) );

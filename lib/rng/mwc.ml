@@ -37,6 +37,22 @@ let next_u32 t =
   t.w <- (18000 * (t.w land mask16)) + (t.w lsr 16);
   ((t.z lsl 16) + t.w) land mask32
 
+let fill_u32_le t buf ~pos ~words =
+  let room = Bytes.length buf - pos in
+  if pos < 0 || room < 0 || words < 0 || words > room / 4 then
+    invalid_arg "Mwc.fill_u32_le: range outside the buffer";
+  (* [next_u32] unrolled with the lag words in locals: one load and one
+     store of the state per call, not per word.  [Int32.of_int] keeps the
+     low 32 bits, which is the [land mask32] of [next_u32]. *)
+  let z = ref t.z and w = ref t.w in
+  for i = 0 to words - 1 do
+    z := (36969 * (!z land mask16)) + (!z lsr 16);
+    w := (18000 * (!w land mask16)) + (!w lsr 16);
+    Bytes.set_int32_le buf (pos + (4 * i)) (Int32.of_int ((!z lsl 16) + !w))
+  done;
+  t.z <- !z;
+  t.w <- !w
+
 let below t n =
   if n <= 0 then invalid_arg "Mwc.below: bound must be positive";
   if n > mask32 + 1 then invalid_arg "Mwc.below: bound exceeds 2^32";

@@ -34,6 +34,14 @@ val next_u32 : t -> int
 (** [next_u32 t] returns the next output, a uniform integer in
     [\[0, 2{^32})]. *)
 
+val fill_u32_le : t -> Bytes.t -> pos:int -> words:int -> unit
+(** [fill_u32_le t buf ~pos ~words] writes the next [words] outputs of
+    [t] into [buf] from [pos] on, four bytes each, least-significant byte
+    first.  Bytes and final state equal [words] calls of {!next_u32}
+    written out one by one; this is the bulk kernel behind the
+    replicated-mode random heap fill.  Raises [Invalid_argument] if the
+    range does not fit in [buf]. *)
+
 val below : t -> int -> int
 (** [below t n] is uniform in [\[0, n)].  Uses rejection sampling so the
     result is exactly uniform (no modulo bias).  [n] must be positive and

@@ -614,22 +614,39 @@ let fill t ~addr ~len c =
 let fill_random t ~addr ~len rng =
   if len < 0 then invalid_arg "Mem.fill_random: negative length";
   let runs = validate t ~addr ~len Fault.Write in
-  (* Same stream consumption as the historical bytewise fill: one u32 per
-     four bytes, least-significant byte first — replicas built from equal
-     seeds must still produce byte-identical heaps. *)
-  let buf = Bytes.create len in
-  let i = ref 0 in
-  while !i < len do
-    let v = Dh_rng.Mwc.next_u32 rng in
-    let n = min 4 (len - !i) in
-    for j = 0 to n - 1 do
-      Bytes.unsafe_set buf (!i + j) (Char.unsafe_chr ((v lsr (8 * j)) land 0xFF))
-    done;
-    i := !i + n
-  done;
   t.writes <- t.writes + len;
   mark_runs_touched t runs;
-  List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
+  (* Drawn only now, so a faulting fill consumes no draws.  The stream is
+     one u32 per four bytes of the range, least-significant byte first,
+     so replicas built from equal seeds produce byte-identical heaps.
+     Each run takes whole words straight into the backing store; a word
+     cut by a run boundary (meshed segments split runs per page) leaves
+     its high bytes in [carry] for the next run, keeping the stream
+     continuous. *)
+  let carry = ref 0 and pending = ref 0 and pos = ref 0 in
+  let drain data fin =
+    while !pending > 0 && !pos < fin do
+      Bytes.set data !pos (Char.unsafe_chr (!carry land 0xFF));
+      carry := !carry lsr 8;
+      decr pending;
+      incr pos
+    done
+  in
+  List.iter
+    (fun r ->
+      let data = r.rseg.data in
+      pos := run_off r;
+      let fin = !pos + r.rlen in
+      drain data fin;
+      let words = (fin - !pos) / 4 in
+      Dh_rng.Mwc.fill_u32_le rng data ~pos:!pos ~words;
+      pos := !pos + (4 * words);
+      if !pos < fin then begin
+        carry := Dh_rng.Mwc.next_u32 rng;
+        pending := 4;
+        drain data fin
+      end)
+    runs
 
 let cstring ?limit t addr =
   let buf = Buffer.create 16 in

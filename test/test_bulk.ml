@@ -248,6 +248,86 @@ let test_fill_random_stream_parity () =
   check_string "documented stream consumption" (Bytes.to_string expected)
     (Mem.read_bytes m1 ~addr:(a1 + 3) ~len)
 
+(* The documented stream for [len] bytes: one u32 per four bytes,
+   least-significant byte first.  Returns the bytes and the generator
+   state after the ceil(len/4) draws. *)
+let reference_stream ~seed len =
+  let rng = Dh_rng.Mwc.create ~seed in
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    if i land 3 = 0 then begin
+      let v = Dh_rng.Mwc.next_u32 rng in
+      for j = 0 to min 3 (len - 1 - i) do
+        Bytes.set b (i + j) (Char.chr ((v lsr (8 * j)) land 0xFF))
+      done
+    end
+  done;
+  (Bytes.to_string b, Dh_rng.Mwc.state rng)
+
+let test_fill_random_multi_run_parity () =
+  (* In a meshed segment validation splits the range into one run per
+     page, and the pages need not be adjacent in the backing store: here
+     virtual page 2 is backed by page 0.  A start offset that is not a
+     multiple of 4 cuts a word at every page boundary; the stream must
+     still run on unbroken, and draw exactly ceil(len/4) words. *)
+  let page = 4096 in
+  List.iter
+    (fun r ->
+      let mem = Mem.create () in
+      let a = Mem.mmap mem (5 * page) in
+      Mem.alias mem ~src:a ~dst:(a + (2 * page)) ~live:[];
+      let start = a + (2 * page) - 8 + r in
+      let len = (a + (3 * page) + 13) - start in
+      let rng = Dh_rng.Mwc.create ~seed:(40 + r) in
+      Mem.fill_random mem ~addr:start ~len rng;
+      let bytes, state = reference_stream ~seed:(40 + r) len in
+      let label = Printf.sprintf "start = 4k + %d" r in
+      check_string (label ^ ": documented stream across runs") bytes
+        (Mem.read_bytes mem ~addr:start ~len);
+      check (label ^ ": ceil(len/4) draws") true (Dh_rng.Mwc.state rng = state))
+    [ 1; 2; 3 ]
+
+let test_fill_random_fault_atomic () =
+  (* A fill running into a No_access page (a meshed, multi-run segment)
+     or off the end of a segment into its hole page faults at the exact
+     first bad byte, and leaves no trace: no bytes written, stats and
+     touched pages unchanged, no draws consumed.  Every page and line the
+     faulting walk charges is made resident first, so the miss counters
+     must not move either. *)
+  let page = 4096 in
+  let case label ~setup ~start ~len ~bad =
+    let mem = Mem.create () in
+    let a = Mem.mmap mem (4 * page) in
+    Mem.fill mem ~addr:a ~len:(4 * page) '\x5A';
+    setup mem a;
+    let before = Mem.read_bytes mem ~addr:a ~len:(bad a - a) in
+    ignore (Mem.read_bytes mem ~addr:(start a) ~len:(bad a - start a));
+    ignore (fault_of (fun () -> Mem.read8 mem (bad a)));
+    let s0 = Mem.stats mem and tp0 = Mem.touched_pages mem in
+    let rng = Dh_rng.Mwc.create ~seed:17 in
+    let st0 = Dh_rng.Mwc.state rng in
+    (match fault_of (fun () -> Mem.fill_random mem ~addr:(start a) ~len rng) with
+    | Some (Fault.Protection { addr; access = Fault.Write })
+    | Some (Fault.Unmapped { addr; access = Fault.Write }) ->
+      check_int (label ^ ": exact first bad byte") (bad a) addr
+    | _ -> Alcotest.fail (label ^ ": expected a write fault"));
+    check (label ^ ": stats unchanged") true (Mem.stats mem = s0);
+    check_int (label ^ ": touched pages unchanged") tp0 (Mem.touched_pages mem);
+    check (label ^ ": no draws consumed") true (Dh_rng.Mwc.state rng = st0);
+    check_string (label ^ ": no bytes written") before
+      (Mem.read_bytes mem ~addr:a ~len:(bad a - a))
+  in
+  case "No_access page in a meshed segment"
+    ~setup:(fun mem a ->
+      Mem.alias mem ~src:a ~dst:(a + (3 * page)) ~live:[];
+      Mem.protect mem ~addr:(a + (2 * page)) ~len:page Mem.No_access)
+    ~start:(fun a -> a + page - 3)
+    ~len:(2 * page) ~bad:(fun a -> a + (2 * page));
+  case "hole page after the segment"
+    ~setup:(fun _ _ -> ())
+    ~start:(fun a -> a + (3 * page) + 2)
+    ~len:5000 ~bad:(fun a -> a + (4 * page))
+
 (* --- cstring --- *)
 
 let test_cstring_basic_and_limit () =
@@ -414,6 +494,10 @@ let suite =
       test_protect_unmapped_reporting;
     Alcotest.test_case "fill_random stream parity" `Quick
       test_fill_random_stream_parity;
+    Alcotest.test_case "fill_random multi-run stream parity" `Quick
+      test_fill_random_multi_run_parity;
+    Alcotest.test_case "fill_random fault is atomic" `Quick
+      test_fill_random_fault_atomic;
     Alcotest.test_case "cstring basic and limit" `Quick test_cstring_basic_and_limit;
     Alcotest.test_case "cstring crosses pages" `Quick test_cstring_crosses_pages;
     Alcotest.test_case "cstring unterminated faults" `Quick

@@ -191,6 +191,7 @@ type op =
   | Write8 of int * int
   | Write64 of int * int
   | Fill of int * int * char
+  | Fill_random of int * int * int  (* offset, length, seed *)
   | Remap  (* munmap the scratch segment and map a fresh one *)
 
 let gen_ops len =
@@ -203,6 +204,10 @@ let gen_ops len =
            ( 3,
              map3
                (fun o l c -> Fill (o, min l (len - o), Char.chr (c land 0xFF)))
+               (int_bound (len - 1)) (int_bound len) int );
+           ( 2,
+             map3
+               (fun o l seed -> Fill_random (o, min l (len - o), seed))
                (int_bound (len - 1)) (int_bound len) int );
            (1, return Remap);
          ]))
@@ -224,6 +229,8 @@ let prop_rewind_is_identity =
           | Write8 (o, v) -> Mem.write8 mem (a + o) v
           | Write64 (o, v) -> Mem.write64 mem (a + o) v
           | Fill (o, l, c) -> if l > 0 then Mem.fill mem ~addr:(a + o) ~len:l c
+          | Fill_random (o, l, seed) ->
+            Mem.fill_random mem ~addr:(a + o) ~len:l (Dh_rng.Mwc.create ~seed)
           | Remap ->
             Mem.munmap mem !scratch;
             scratch := Mem.mmap mem page;

@@ -229,6 +229,43 @@ let prop_uniform_int_in_range =
       let v = Dist.uniform_int rng ~lo ~hi in
       v >= lo && v <= hi)
 
+(* --- the bulk kernel --- *)
+
+let prop_fill_u32_le_matches_next_u32 =
+  QCheck.Test.make ~name:"Mwc.fill_u32_le = next_u32 draws, LSB first" ~count:300
+    QCheck.(pair int (int_bound 1100))
+    (fun (seed, words) ->
+      let bulk = Mwc.create ~seed and one = Mwc.create ~seed in
+      (* a guard byte on each side catches writes outside the range *)
+      let pos = 3 in
+      let got = Bytes.make (pos + (4 * words) + 1) '\xA5' in
+      let want = Bytes.copy got in
+      Mwc.fill_u32_le bulk got ~pos ~words;
+      for i = 0 to words - 1 do
+        let v = Mwc.next_u32 one in
+        for j = 0 to 3 do
+          Bytes.set want (pos + (4 * i) + j) (Char.chr ((v lsr (8 * j)) land 0xFF))
+        done
+      done;
+      Bytes.equal got want && Mwc.state bulk = Mwc.state one)
+
+let test_fill_u32_le_bounds () =
+  let rng = Mwc.create ~seed:5 in
+  let before = Mwc.state rng in
+  let buf = Bytes.make 10 'x' in
+  List.iter
+    (fun (pos, words) ->
+      check "range rejected" true
+        (match Mwc.fill_u32_le rng buf ~pos ~words with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ (-1, 1); (0, -1); (7, 1); (0, 3) ];
+  check "rejected calls draw nothing" true (Mwc.state rng = before);
+  check "buffer untouched" true (Bytes.equal buf (Bytes.make 10 'x'));
+  Mwc.fill_u32_le rng buf ~pos:6 ~words:1;
+  Mwc.fill_u32_le rng buf ~pos:10 ~words:0;
+  check "exact fit accepted" true (Bytes.sub_string buf 0 6 = "xxxxxx")
+
 let suite =
   [
     Alcotest.test_case "mwc determinism" `Quick test_determinism;
@@ -253,6 +290,8 @@ let suite =
     Alcotest.test_case "dist weighted" `Quick test_weighted;
     Alcotest.test_case "dist weighted zero" `Quick test_weighted_zero_total;
     Alcotest.test_case "dist shuffle" `Quick test_shuffle_permutation;
+    Alcotest.test_case "mwc fill_u32_le bounds" `Quick test_fill_u32_le_bounds;
+    QCheck_alcotest.to_alcotest prop_fill_u32_le_matches_next_u32;
     QCheck_alcotest.to_alcotest prop_below_in_range;
     QCheck_alcotest.to_alcotest prop_uniform_int_in_range;
   ]
