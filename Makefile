@@ -88,14 +88,15 @@ examples:
 
 # Everything CI runs: full build, full test suite (including the
 # parallel determinism suite), a smoke run of the survival supervisor,
-# a quick allocator differential fuzz, and a quick scaling-bench
-# divergence check at --jobs 2.
+# a quick allocator differential fuzz, the seven examples, and a quick
+# scaling-bench divergence check at --jobs 2.
 check:
 	dune build @all
 	dune runtest --force
 	dune exec test/test_main.exe -- test parallel
 	dune exec bin/diehard_cli.exe -- survive cfrac --retries 1
 	dune exec bin/fuzz.exe -- --rounds 20 --ops 400
+	$(MAKE) examples
 	dune exec bench/throughput.exe -- --quick --jobs 2 --out /dev/null
 
 clean:

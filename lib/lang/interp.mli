@@ -9,9 +9,32 @@
     Execution starts at [main()].  Variables live outside the simulated
     heap (MiniC models heap errors, not stack smashing — the paper's
     DieHard likewise "does not prevent safety errors based on stack
-    corruption", §9).  If the allocator is garbage-collected, every live
-    variable and string literal is registered as a root, scanned
-    conservatively.
+    corruption", §9).
+
+    {b Resolve, then run.}  Each {!run} first allocates the string
+    literals, then compiles the functions [main] can reach into OCaml
+    closures and runs them.  Compilation resolves every variable to a
+    slot in its function's frame (one [int] array plus a live flag per
+    slot, allocated per call) and binds every call to a builtin or a
+    user function, so running does no name lookup.  It changes nothing
+    observable: operands, indices and call arguments run left to right,
+    an assignment's value runs before its target address, fuel is burnt
+    per statement, per loop test and per user call, and name, arity and
+    division errors are raised only when the offending code runs.  Each
+    block is a scope; [var x = x + 1] reads the enclosing [x], a
+    redeclaration in the same block reuses the binding, and callees do
+    not see their callers' variables.  A builtin shadows a user function
+    of the same name, and the first of duplicate definitions wins.  A
+    [var] in a [for] step belongs to the loop's scope only once the step
+    has run: the condition and body see it from the second iteration
+    on.
+
+    If the allocator is garbage-collected, the string literals and the
+    live slots of every active call — variables whose block is still
+    running — are registered as roots, scanned conservatively.  A
+    variable of a block left by [break], [continue], [return] or an
+    exception is not a root.  Roots are listed in a fixed order, since
+    the collector's simulated cache and TLB traffic depends on it.
 
     {b Builtins}: [malloc(n)], [calloc(n)], [realloc(p,n)], [free(p)], [print_int(v)],
     [print_str(p)], [print_char(c)], [getchar()] (next input byte or -1),
