@@ -54,7 +54,9 @@ bench-serve:
 # telemetry on for the whole run, which would sink the rates the
 # baseline compares.)  Then a quick traced run: the trace must parse as
 # JSON and cover the heap/GC/supervisor/replica spans the inspector
-# expects.
+# expects.  Last, a supervised serve run with checkpoints dumps its
+# metrics CSV, which the inspector validates (header, row shape, unique
+# names, ordered histogram quantiles).
 obs-check:
 	dune build @all
 	dune exec bench/throughput.exe -- --baseline BENCH_throughput.json --out /dev/null
@@ -63,6 +65,10 @@ obs-check:
 	dune exec bin/diehard_cli.exe -- obs obs_trace.json \
 		--expect heap.malloc,gc.collect,gc.mark,gc.sweep,supervisor.attempt,replica.run
 	rm -f obs_trace.json
+	dune exec bin/diehard_cli.exe -- survive server --requests 4096 --attack-every 97 \
+		--checkpoint-interval 512 --retries 1 --trace obs_serve.json --metrics obs_metrics.csv
+	dune exec bin/diehard_cli.exe -- obs obs_serve.json --metrics-csv obs_metrics.csv
+	rm -f obs_serve.json obs_metrics.csv
 
 # The safety-margin audit gate: sweep M over {1.5, 2, 3, 4}, measure
 # empirical overflow/dangling masking on the real heap against the

@@ -94,10 +94,9 @@ let policy =
   }
 
 let run_leg ~requests ~seed () =
-  (* Fresh instruments per leg: the registries are process-wide and a
+  (* Fresh instruments per leg: the registry is process-wide and a
      previous leg's samples must not bleed into this one's quantiles. *)
-  Dh_obs.Quantile.reset ();
-  Dh_obs.Window.reset ();
+  Dh_obs.Metrics.reset Dh_obs.Metrics.default;
   let slo =
     Dh_obs.Slo.configure ~name:"serve" ~target:slo_target_ns ~budget:slo_budget ()
   in
@@ -130,7 +129,7 @@ let run_leg ~requests ~seed () =
       0 incident.Supervisor.attempts
   in
   let window_rate name =
-    match Dh_obs.Window.find name with
+    match Dh_obs.Metrics.find_window Dh_obs.Metrics.default name with
     | Some w -> Dh_obs.Window.rate w ~now:(requests - 1)
     | None -> 0.
   in
@@ -138,7 +137,9 @@ let run_leg ~requests ~seed () =
     requests;
     wall_s;
     throughput = float_of_int requests /. Float.max wall_s 1e-9;
-    latency = Dh_obs.Quantile.(snapshot (get "serve.latency_ns"));
+    latency =
+      Dh_obs.Quantile.snapshot
+        (Dh_obs.Metrics.histogram Dh_obs.Metrics.default "serve.latency_ns");
     slo = Dh_obs.Slo.report slo;
     req_rate = window_rate "serve.requests";
     err_rate = window_rate "serve.errors";

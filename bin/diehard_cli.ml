@@ -888,8 +888,10 @@ let bench_cmd =
 (* --- obs: inspect a recorded trace --- *)
 
 (* Validate a --metrics CSV dump: the fixed header, six fields per row,
-   and the quantile columns — integers for histograms, empty for
-   counters and gauges.  Exits nonzero on any violation. *)
+   unique metric names (the dump is keyed by name, so a repeat means two
+   registries leaked into one report), and the quantile columns —
+   integers for histograms, empty for counters and gauges.  Exits
+   nonzero on any violation. *)
 let validate_metrics_csv path =
   let contents =
     try read_file path
@@ -909,19 +911,24 @@ let validate_metrics_csv path =
     Printf.eprintf "%s: empty metrics CSV\n" path;
     exit 1);
   let histograms = ref 0 and rows = ref 0 in
+  let seen = Hashtbl.create 64 in
   List.iteri
     (fun i line ->
       if i > 0 then begin
         incr rows;
         match String.split_on_char ',' line with
         | [ name; kind; value; p50; p99; _detail ] ->
+          if Hashtbl.mem seen name then begin
+            Printf.eprintf "%s: duplicate metric name %s (line %d)\n" path name (i + 1);
+            exit 1
+          end;
+          Hashtbl.add seen name ();
           let quantiles_ok =
             match kind with
             | "histogram" ->
               incr histograms;
               (* Histograms always carry both quantile summaries, and
-                 they must be ordered — exact quantiles from a
-                 registered Quantile digest included. *)
+                 they must be ordered. *)
               (match (int_of_string_opt p50, int_of_string_opt p99) with
               | Some lo, Some hi -> lo <= hi
               | _ -> false)

@@ -15,9 +15,9 @@
       relative slot position chosen by each allocation, which audits the
       allocator's randomness against the uniform-choice assumption the
       theorems require ({!entropy_bits}).  Fed from the heap hot path
-      through a caller-held {!local} handle on the
-      {!Metrics.local_histogram} discipline: one enabled check, one
-      domain-id compare, plain in-place adds.
+      through a caller-held {!local} handle on the {!Sharded}
+      discipline: one enabled check, one domain-id compare, plain
+      in-place adds.
     - {b Allocation-site provenance} — every allocation carries a small
       interned {!site} id (a workload callsite, a MiniC AST node, or
       {!unknown}); per-site counters attribute canary verdicts, faults
@@ -79,8 +79,8 @@ val with_site : int -> (unit -> 'a) -> 'a
 type local
 (** A caller-held cache of the calling domain's buffered cell (the heap
     keeps one per heap).  Unsynchronized: must not be recorded to by two
-    domains concurrently — the same contract as
-    {!Metrics.local_histogram}. *)
+    domains concurrently — the {!Sharded} handle contract.  Creating one
+    allocates no cell, and handles stay valid across {!reset}. *)
 
 val local : unit -> local
 
@@ -163,8 +163,8 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Merge every per-domain cell now.  Same read contract as
-    {!Metrics}: exact once writers have parked. *)
+(** Merge every per-domain cell now.  The {!Sharded} read contract:
+    exact once writers have parked. *)
 
 val top_sites : ?n:int -> snapshot -> site_stat list
 (** The [n] (default 5) most suspect sites: most attributed events

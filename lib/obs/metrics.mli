@@ -1,26 +1,23 @@
-(** Metrics registry: named counters, gauges and log2-bucketed
-    histograms.
+(** Metrics registry: the one name-keyed table of instruments in
+    [Dh_obs] — counters, gauges, {!Quantile} histograms and {!Window}
+    sliding windows.
 
-    Counters and histograms are buffered per domain: the first time a
-    domain records into an instrument it is handed a private cell
-    (reached through domain-local storage), and every subsequent record
-    is a plain in-place add — no mutex, no atomic, no cache line shared
-    with any other domain.  Cells are merged only when a value is read
-    ([counter_value], [histogram_*], {!dump}); reads taken while another
-    domain is mid-burst may lag by that domain's unmerged buffer, and
-    are exact once writers have parked or been joined (the pool parks
-    its workers between fan-outs, so post-fan-out dumps are exact).
-    All recording is a no-op while {!Control.enabled} is false.
+    Counters and histograms are buffered per domain on the {!Sharded}
+    discipline: recording is a plain in-place add into the calling
+    domain's private cell, and cells are merged only when a value is
+    read ([counter_value], {!Quantile.snapshot}, {!dump}).  All
+    recording is a no-op while {!Control.enabled} is false.
 
-    Instrument {e lookup} by name ({!counter}, {!histogram}) still takes
-    the registry mutex — resolve instruments once, outside hot loops,
-    and keep the handle.
+    Instrument {e lookup} by name takes the registry mutex — resolve
+    instruments once, outside hot loops, and keep the handle.
 
     Instruments are get-or-create by name: creating ["heap.malloc.bytes"]
     twice returns the same histogram, so short-lived components (one heap
-    per campaign trial) accumulate into one series.  Callback gauges are
-    the exception: re-registering a name replaces the callback, so a
-    gauge tracks the most recently created component. *)
+    per campaign trial) accumulate into one series.  Asking for a name
+    under a different kind raises [Invalid_argument].  Callback gauges
+    are the exception to get-or-create: re-registering a gauge's name
+    replaces it, so a gauge tracks the most recently created
+    component. *)
 
 type t
 (** A registry. *)
@@ -52,54 +49,25 @@ val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
 val gauge_fn : t -> string -> (unit -> int) -> unit
-(** Register (or replace) a callback gauge, read at dump time.  A
-    callback that raises reads as 0. *)
+(** Register a callback gauge, read at dump time, replacing any gauge of
+    the same name.  Raises [Invalid_argument] if the name holds another
+    kind.  A callback that raises reads as 0. *)
 
-(** {1 Histograms} *)
+(** {1 Histograms and windows} *)
 
-type histogram
+val histogram : t -> string -> Quantile.t
+(** Get or create a {!Quantile} histogram.  Record through
+    {!Quantile.record}, or a {!Quantile.local} handle in single-writer
+    hot loops; read through {!Quantile.snapshot}. *)
 
-val histogram : t -> string -> histogram
+val window : t -> string -> width:int -> buckets:int -> Window.t
+(** Get or create a sliding window.  Raises [Invalid_argument] if the
+    name exists with a different kind or a different geometry. *)
 
-val bucket_of : int -> int
-(** [bucket_of v] for [v >= 0] is the log2 bucket index: 0 for 0, and
-    [floor (log2 v) + 1] otherwise (1 -> 1, 2..3 -> 2, 4..7 -> 3, ...,
-    [max_int] -> 62).  Raises [Invalid_argument] on negative values. *)
-
-val bucket_count : int  (** 64: every non-negative OCaml int fits. *)
-
-val observe : histogram -> int -> unit
-(** Record a sample.  Raises [Invalid_argument] on negative samples
-    (even though recording itself is skipped when disabled, the sign
-    check only runs while enabled). *)
-
-type local_histogram
-(** A caller-held cache of one domain's cell for a histogram: skips the
-    domain-local-storage read and hash lookup {!observe} pays on every
-    record.  The cache is unsynchronized — a [local_histogram] must not
-    be recorded to by two domains concurrently (it re-resolves correctly
-    when ownership moves {e between} bursts, e.g. a heap handed from one
-    domain to another). *)
-
-val local_histogram : histogram -> local_histogram
-
-val observe_local : local_histogram -> int -> unit
-(** Like {!observe} through the cached cell: one enabled check, one
-    domain-id compare, two plain adds in the steady state. *)
-
-val histogram_sum : histogram -> int
-
-val histogram_total : histogram -> int
-(** Number of samples. *)
-
-val histogram_buckets : histogram -> int array
-(** Merged per-domain cells. *)
-
-val histogram_quantile : histogram -> float -> int
-(** [histogram_quantile h q] is the upper bound ([2^b - 1]) of the log2
-    bucket holding the rank-[⌈q*N⌉] sample — coarse (within a factor of
-    two), for the CSV dump's p50/p99 columns; use {!Quantile} when the
-    bound matters.  0 on an empty histogram. *)
+val find_window : t -> string -> Window.t option
+(** Lookup without creating — for read-side consumers (the bench
+    report, tests) that must not dictate geometry.  [None] unless the
+    name holds a window. *)
 
 (** {1 Reading} *)
 
@@ -107,19 +75,16 @@ type row = {
   name : string;
   kind : string;  (** ["counter"], ["gauge"] or ["histogram"]. *)
   value : int;  (** Counter sum, gauge value, or histogram sample count. *)
-  p50 : int option;
-      (** Histograms: {!histogram_quantile} at 0.5 — unless a
-          {!Quantile} instrument with the same name has samples, in
-          which case its exact (3.125%-error) quantile is reported
-          instead of the coarse log2 bound. *)
-  p99 : int option;  (** Histograms: likewise at 0.99. *)
+  p50 : int option;  (** Histograms: {!Quantile.quantile} at 0.5. *)
+  p99 : int option;  (** Histograms: {!Quantile.quantile} at 0.99. *)
   detail : string;
-      (** Histograms: ["sum=S mean=M buckets=b1:n1;b4:n4"]; empty
-          otherwise. *)
+      (** Histograms: ["sum=S mean=M"] — the sample sum and the mean to
+          one decimal; empty otherwise. *)
 }
 
 val dump : t -> row list
-(** Snapshot of every instrument, sorted by name. *)
+(** Snapshot of every counter, gauge and histogram, sorted by name.
+    Windows are left out: reading one needs the owner's clock. *)
 
 val to_csv : t -> string
 (** The dump as CSV with a ["name,kind,value,p50,p99,detail"] header
@@ -129,4 +94,5 @@ val to_csv : t -> string
 val write_csv : path:string -> t -> unit
 
 val reset : t -> unit
-(** Drop every instrument (tests). *)
+(** Drop every instrument (tests, bench legs).  Handles to dropped
+    instruments keep recording into cells no dump reaches. *)

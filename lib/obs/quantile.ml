@@ -19,15 +19,15 @@ let exact_limit = 2 * fine (* values below this are their own bucket *)
    so the last block is 57 and the count is 58 blocks of [fine] buckets. *)
 let bucket_count = 58 * fine
 
-let bits_of v =
-  let rec go bits v = if v = 0 then bits else go (bits + 1) (v lsr 1) in
-  go 0 v
+(* Index of the most significant set bit of [v], searching up from [e]. *)
+let rec msb_from e v = if v lsr (e + 1) = 0 then e else msb_from (e + 1) v
 
 let bucket_of v =
   if v < 0 then invalid_arg "Quantile.bucket_of: negative sample";
   if v < exact_limit then v
   else
-    let e = bits_of v - 1 in
+    (* v >= 2^(fine_bits+1), so its top bit is at fine_bits + 1 or above *)
+    let e = msb_from (fine_bits + 1) v in
     let shift = e - fine_bits in
     ((e - fine_bits + 1) * fine) + ((v lsr shift) land (fine - 1))
 
@@ -40,78 +40,28 @@ let bucket_bounds i =
     let lo = (fine + m) lsl shift in
     (lo, lo + (1 lsl shift) - 1)
 
-(* --- sharded cells, following the Metrics discipline --- *)
+(* --- sharded cells --- *)
 
-type cell = { counts : int array; mutable c_sum : int; mutable c_total : int }
+type cell = { counts : int array; mutable c_sum : int }
 
-type t = {
-  id : int;
-  cells_lock : Mutex.t;
-  mutable cells : cell list; (* one per domain that ever recorded *)
-}
+let cells = Sharded.kind (fun () -> { counts = Array.make bucket_count 0; c_sum = 0 })
 
-let next_id = Atomic.make 0
+type t = cell Sharded.t
 
-let create () =
-  { id = Atomic.fetch_and_add next_id 1; cells_lock = Mutex.create (); cells = [] }
-
-let fresh_cell () = { counts = Array.make bucket_count 0; c_sum = 0; c_total = 0 }
-
-let memo : (int, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let local_cell q =
-  let memo = Domain.DLS.get memo in
-  match Hashtbl.find_opt memo q.id with
-  | Some cell -> cell
-  | None ->
-    let cell = fresh_cell () in
-    Mutex.protect q.cells_lock (fun () -> q.cells <- cell :: q.cells);
-    Hashtbl.add memo q.id cell;
-    cell
+let create () = Sharded.create cells
 
 let record_cell cell v =
   let b = bucket_of v in
   cell.counts.(b) <- cell.counts.(b) + 1;
-  cell.c_sum <- cell.c_sum + v;
-  cell.c_total <- cell.c_total + 1
+  cell.c_sum <- cell.c_sum + v
 
-let record q v = if Control.enabled () then record_cell (local_cell q) v
+let record q v = if Control.enabled () then record_cell (Sharded.cell q) v
 
-type local = { lq : t; mutable lq_owner : int; mutable lq_cell : cell }
+type local = cell Sharded.local
 
-let local q = { lq = q; lq_owner = -1; lq_cell = fresh_cell () }
+let local = Sharded.local
 
-let record_local l v =
-  if Control.enabled () then begin
-    let me = (Domain.self () :> int) in
-    if l.lq_owner <> me then begin
-      l.lq_cell <- local_cell l.lq;
-      l.lq_owner <- me
-    end;
-    record_cell l.lq_cell v
-  end
-
-(* --- registry --- *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let get name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some q -> q
-      | None ->
-        let q = create () in
-        Hashtbl.replace registry name q;
-        q)
-
-let registered () =
-  List.sort compare
-    (Mutex.protect registry_lock (fun () ->
-         Hashtbl.fold (fun name q acc -> (name, q) :: acc) registry []))
-
-let reset () = Mutex.protect registry_lock (fun () -> Hashtbl.reset registry)
+let record_local l v = if Control.enabled () then record_cell (Sharded.resolve l) v
 
 (* --- snapshots --- *)
 
@@ -120,16 +70,15 @@ type snapshot = { s_counts : int array; s_sum : int; s_total : int }
 let empty = { s_counts = Array.make bucket_count 0; s_sum = 0; s_total = 0 }
 
 let snapshot q =
-  let cells = Mutex.protect q.cells_lock (fun () -> q.cells) in
+  let cells = Sharded.cells q in
   let counts = Array.make bucket_count 0 in
-  let sum = ref 0 and total = ref 0 in
+  let sum = ref 0 in
   List.iter
     (fun cell ->
       Array.iteri (fun i n -> counts.(i) <- counts.(i) + n) cell.counts;
-      sum := !sum + cell.c_sum;
-      total := !total + cell.c_total)
+      sum := !sum + cell.c_sum)
     cells;
-  { s_counts = counts; s_sum = !sum; s_total = !total }
+  { s_counts = counts; s_sum = !sum; s_total = Array.fold_left ( + ) 0 counts }
 
 let merge a b =
   {

@@ -1,21 +1,19 @@
-(** HDR-style latency histograms with bounded relative error and exact
-    rank selection.
+(** HDR-style histograms with bounded relative error and exact rank
+    selection — the one histogram type in [Dh_obs].
 
-    {!Metrics} histograms bucket by whole powers of two — fine for
-    spotting shape, useless for SLO arithmetic (a "p99 below 2048 µs"
-    answer spans a factor of two).  This module keeps a two-level
-    bucketing instead: a coarse level indexed by the sample's exponent
-    and a fine level of [2^fine_bits] sub-buckets within each exponent,
-    so every reported quantile is within a [1/2^fine_bits] (3.125%)
-    relative error of the exact order statistic — and values below
-    [2^(fine_bits+1)] are bucketed exactly.
+    A two-level bucketing: a coarse level indexed by the sample's
+    exponent and a fine level of [2^fine_bits] sub-buckets within each
+    exponent, so every reported quantile is within a [1/2^fine_bits]
+    (3.125%) relative error of the exact order statistic — and values
+    below [2^(fine_bits+1)] are bucketed exactly.
 
-    Recording follows the {!Metrics} per-domain buffered-cell discipline:
-    the first record from a domain allocates it a private cell (reached
-    through domain-local storage), and every subsequent record is two
-    plain in-place adds — no mutex, no atomic, no shared cache line.
-    Single-writer hot loops can hold a {!local} cache of the resolved
-    cell, exactly like {!Metrics.local_histogram}.  All recording is a
+    Named histograms live in the {!Metrics} registry
+    ({!Metrics.histogram}); {!create} makes an unregistered one.
+    Recording follows the {!Sharded} per-domain buffered-cell
+    discipline: the first record from a domain allocates it a private
+    cell, and every subsequent record is two plain in-place adds — no
+    mutex, no atomic, no shared cache line.  Single-writer hot loops
+    hold a {!local} cache of the resolved cell.  All recording is a
     no-op while {!Control.enabled} is false (one atomic load).
 
     Reads go through {!snapshot}: an immutable merged copy of every
@@ -36,28 +34,17 @@ val bucket_count : int
 val create : unit -> t
 (** An unregistered instrument (tests, throwaway collectors). *)
 
-val get : string -> t
-(** Get or create by name in the process-wide registry — the serve loop
-    publishes ["serve.latency_ns"] here and the bench reads it back. *)
-
-val registered : unit -> (string * t) list
-(** Registry contents, sorted by name. *)
-
-val reset : unit -> unit
-(** Drop every registered instrument (tests).  Cells of dropped
-    instruments become unreachable; ids are never reused. *)
-
 (** {1 Recording} *)
 
 val record : t -> int -> unit
 (** Record a sample.  Raises [Invalid_argument] on negative samples
-    (checked only while enabled, mirroring {!Metrics.observe}). *)
+    (checked only while enabled). *)
 
 type local
 (** A caller-held cache of one domain's cell: one enabled check, one
     domain-id compare and two plain adds in the steady state.  Must not
-    be recorded to by two domains concurrently (same contract as
-    {!Metrics.local_histogram}). *)
+    be recorded to by two domains concurrently.  Creating one allocates
+    no cell. *)
 
 val local : t -> local
 val record_local : local -> int -> unit
@@ -78,8 +65,8 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Merge every per-domain cell now.  Cells being written by a domain
-    that has not parked may lag by its unmerged buffer (the same read
-    contract as {!Metrics}). *)
+    that has not parked may lag by its unmerged buffer (the {!Sharded}
+    read contract). *)
 
 val empty : snapshot
 

@@ -18,6 +18,7 @@ let create ~width ~buckets =
   }
 
 let span w = w.width * w.buckets
+let geometry w = (w.width, w.buckets)
 
 let add w ~now n =
   if Control.enabled () then begin
@@ -53,28 +54,3 @@ let rate w ~now =
   let covered = min (now + 1) (span w) in
   if covered <= 0 then 0.
   else float_of_int (total w ~now) /. float_of_int covered
-
-(* --- registry --- *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let get name ~width ~buckets =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some w ->
-        if w.width <> width || w.buckets <> buckets then
-          invalid_arg
-            (Printf.sprintf
-               "Window: %S already registered as %d x %d (asked for %d x %d)"
-               name w.width w.buckets width buckets);
-        w
-      | None ->
-        let w = create ~width ~buckets in
-        Hashtbl.replace registry name w;
-        w)
-
-let find name =
-  Mutex.protect registry_lock (fun () -> Hashtbl.find_opt registry name)
-
-let reset () = Mutex.protect registry_lock (fun () -> Hashtbl.reset registry)

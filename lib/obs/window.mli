@@ -16,6 +16,8 @@
     needs no catch-up loop: stale slots age out by comparison.  Writes
     timestamped before the trailing window's start are dropped.
 
+    Named windows live in the {!Metrics} registry ({!Metrics.window},
+    {!Metrics.find_window}); {!create} makes an unregistered one.
     Windows are single-writer (the owning loop); {!total} from another
     domain reads plain ints and may lag the writer's current bucket.
     {!add} is a no-op while {!Control.enabled} is false. *)
@@ -26,16 +28,8 @@ val create : width:int -> buckets:int -> t
 (** [width] ticks per bucket, [buckets] buckets per window; both must be
     positive (raises [Invalid_argument] otherwise). *)
 
-val get : string -> width:int -> buckets:int -> t
-(** Get or create by name in the process-wide registry.  Raises
-    [Invalid_argument] if the name exists with different geometry. *)
-
-val find : string -> t option
-(** Registry lookup without creating — for read-side consumers (the
-    bench report, the CLI) that must not dictate geometry. *)
-
-val reset : unit -> unit
-(** Drop every registered window (tests). *)
+val geometry : t -> int * int
+(** [(width, buckets)]. *)
 
 val span : t -> int
 (** [width * buckets] — the clock ticks one full window covers. *)

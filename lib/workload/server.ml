@@ -89,7 +89,8 @@ let service ~requests ?(attack_every = 0) ?(attack_len = 3000) ?zipf () =
       bump off 1;
       if Dh_obs.Control.enabled () then
         Dh_obs.Window.add
-          (Dh_obs.Window.get "serve.errors" ~width:1024 ~buckets:16)
+          (Dh_obs.Metrics.window Dh_obs.Metrics.default "serve.errors" ~width:1024
+             ~buckets:16)
           ~now:k 1
     in
     (* The unchecked strcpy of Squid 2.3s5: bytewise, no bounds test, into

@@ -11,6 +11,7 @@
 module Control = Dh_obs.Control
 module Audit = Dh_obs.Audit
 module Window = Dh_obs.Window
+module Metrics = Dh_obs.Metrics
 module Margin = Dh_analysis.Margin
 module Heap = Diehard.Heap
 module Config = Diehard.Config
@@ -222,17 +223,17 @@ let test_write_only_invariance () =
 
 let test_window_find_unregistered () =
   Control.with_enabled true (fun () ->
-      Window.reset ();
-      check "find on unregistered name" true (Window.find "no-such-window" = None);
-      let w = Window.get "such-window" ~width:8 ~buckets:4 in
+      Metrics.reset Metrics.default;
+      check "find on unregistered name" true (Metrics.find_window Metrics.default "no-such-window" = None);
+      let w = Metrics.window Metrics.default "such-window" ~width:8 ~buckets:4 in
       check "find returns the registered instance" true
-        (Window.find "such-window" = Some w);
-      Window.reset ())
+        (Metrics.find_window Metrics.default "such-window" = Some w);
+      Metrics.reset Metrics.default)
 
 let test_window_backwards_clock () =
   Control.with_enabled true (fun () ->
-      Window.reset ();
-      let w = Window.get "backwards" ~width:10 ~buckets:4 in
+      Metrics.reset Metrics.default;
+      let w = Metrics.window Metrics.default "backwards" ~width:10 ~buckets:4 in
       Window.add w ~now:1000 3;
       check_int "counted at the newest bucket" 3 (Window.total w ~now:1000);
       (* A stamp from before the trailing window (clock running
@@ -243,19 +244,19 @@ let test_window_backwards_clock () =
       (* A small step back inside the window still counts. *)
       Window.add w ~now:995 2;
       check_int "in-window backwards write lands" 5 (Window.total w ~now:1000);
-      Window.reset ())
+      Metrics.reset Metrics.default)
 
 let test_window_rate_at_clock_zero () =
   Control.with_enabled true (fun () ->
-      Window.reset ();
-      let w = Window.get "zero" ~width:10 ~buckets:4 in
+      Metrics.reset Metrics.default;
+      let w = Metrics.window Metrics.default "zero" ~width:10 ~buckets:4 in
       check "empty rate at clock 0 is 0" true (Window.rate w ~now:0 = 0.);
       check "empty rate is not NaN" false (Float.is_nan (Window.rate w ~now:0));
       Window.add w ~now:0 5;
       (* One tick elapsed: the early-run denominator is the elapsed
          ticks, not the full span. *)
       check "rate at clock 0 uses elapsed ticks" true (Window.rate w ~now:0 = 5.);
-      Window.reset ())
+      Metrics.reset Metrics.default)
 
 let suite =
   [

@@ -1,5 +1,5 @@
-(* Tests for the Dh_obs telemetry stack: metrics registry bucketing and
-   shard merging, trace-ring wraparound and Chrome JSON export, the
+(* Tests for the Dh_obs telemetry stack: metrics registry bucketing,
+   kinds and shard merging, allocation-free local handles, trace-ring wraparound and Chrome JSON export, the
    fault flight recorder's bounds, the vendored JSON parser, and the
    guarded derived ratios in the stats reporters.
 
@@ -10,6 +10,8 @@
 
 module Control = Dh_obs.Control
 module Metrics = Dh_obs.Metrics
+module Quantile = Dh_obs.Quantile
+module Window = Dh_obs.Window
 module Tracing = Dh_obs.Tracing
 module Recorder = Dh_obs.Recorder
 module Json = Dh_obs.Json
@@ -30,44 +32,56 @@ let with_clean f =
 
 (* --- histogram bucketing ------------------------------------------- *)
 
+(* Registry histograms are Quantile histograms: exact below 64, then 32
+   sub-buckets per power of two, up to max_int. *)
 let test_bucket_edges () =
+  with_clean @@ fun () ->
   List.iter
-    (fun (v, b) ->
-      check_int (Printf.sprintf "bucket_of %d" v) b (Metrics.bucket_of v))
+    (fun (v, (lo, hi)) ->
+      let bounds = Quantile.bucket_bounds (Quantile.bucket_of v) in
+      check (Printf.sprintf "bucket of %d is [%d, %d]" v lo hi) true (bounds = (lo, hi));
+      let h = Metrics.histogram Metrics.default (Printf.sprintf "test.edge.%d" v) in
+      Quantile.record h v;
+      check_int
+        (Printf.sprintf "registry histogram reports %d's bound" v)
+        hi
+        (Quantile.quantile (Quantile.snapshot h) 0.5))
     [
-      (0, 0);
-      (1, 1);
-      (2, 2);
-      (3, 2);
-      (4, 3);
-      (7, 3);
-      (8, 4);
-      (1023, 10);
-      (1024, 11);
-      (max_int, 62);
+      (0, (0, 0));
+      (1, (1, 1));
+      (63, (63, 63));
+      (64, (64, 65));
+      (65, (64, 65));
+      (1023, (1008, 1023));
+      (1024, (1024, 1055));
+      (max_int, ((63 lsl 56), max_int));
     ];
   check "bucket_count covers every int" true
-    (Metrics.bucket_of max_int < Metrics.bucket_count);
-  (match Metrics.bucket_of (-1) with
+    (Quantile.bucket_of max_int < Quantile.bucket_count);
+  (match Quantile.bucket_of (-1) with
   | exception Invalid_argument _ -> ()
   | b -> Alcotest.failf "bucket_of (-1) returned %d instead of raising" b)
 
 let test_histogram_observe () =
   with_clean @@ fun () ->
   let h = Metrics.histogram Metrics.default "test.hist" in
-  List.iter (Metrics.observe h) [ 0; 1; 3; 1024 ];
-  check_int "total" 4 (Metrics.histogram_total h);
-  check_int "sum" 1028 (Metrics.histogram_sum h);
-  let buckets = Metrics.histogram_buckets h in
-  check_int "bucket 0" 1 buckets.(0);
-  check_int "bucket 1" 1 buckets.(1);
-  check_int "bucket 2" 1 buckets.(2);
-  check_int "bucket 11" 1 buckets.(11);
-  (* max_int lands in the last used bucket without overflowing totals *)
-  Metrics.observe h max_int;
-  check_int "max_int bucket" 1 (Metrics.histogram_buckets h).(62);
-  check_int "total after max_int" 5 (Metrics.histogram_total h);
-  match Metrics.observe h (-5) with
+  check "get-or-create returns the same histogram" true
+    (Metrics.histogram Metrics.default "test.hist" == h);
+  List.iter (Quantile.record h) [ 0; 1; 3; 1024 ];
+  let s = Quantile.snapshot h in
+  check_int "total" 4 (Quantile.count s);
+  check_int "sum" 1028 (Quantile.sum s);
+  (* one sample per bucket: each rank lands on its own sample's bound *)
+  check_int "rank 1" 0 (Quantile.quantile s 0.25);
+  check_int "rank 2" 1 (Quantile.quantile s 0.5);
+  check_int "rank 3" 3 (Quantile.quantile s 0.75);
+  check_int "rank 4" 1055 (Quantile.quantile s 1.0);
+  (* max_int lands in the last bucket without overflowing the index *)
+  Quantile.record h max_int;
+  let s = Quantile.snapshot h in
+  check_int "max_int bucket" max_int (Quantile.max_value s);
+  check_int "total after max_int" 5 (Quantile.count s);
+  match Quantile.record h (-5) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative observe accepted"
 
@@ -77,14 +91,14 @@ let test_disabled_is_noop () =
   let h = Metrics.histogram Metrics.default "test.noop.hist" in
   Control.with_enabled false (fun () ->
       Metrics.add c 42;
-      Metrics.observe h 42;
+      Quantile.record h 42;
       (* the sign check only runs while enabled: no raise here *)
-      Metrics.observe h (-1);
+      Quantile.record h (-1);
       Tracing.instant "test.noop";
       Tracing.span "test.noop.span" (fun () -> ());
       Recorder.trigger ~reason:"noop" ());
   check_int "counter untouched" 0 (Metrics.counter_value c);
-  check_int "histogram untouched" 0 (Metrics.histogram_total h);
+  check_int "histogram untouched" 0 (Quantile.count (Quantile.snapshot h));
   check_int "no events" 0 (List.length (Tracing.events ()));
   check_int "no reports" 0 (List.length (Recorder.reports ()))
 
@@ -135,7 +149,7 @@ let test_csv_dump () =
   let c = Metrics.counter Metrics.default "test.csv.counter" in
   Metrics.add c 3;
   let h = Metrics.histogram Metrics.default "test.csv.histogram" in
-  List.iter (Metrics.observe h) [ 1; 2; 3; 4; 100 ];
+  List.iter (Quantile.record h) [ 1; 2; 3; 4; 100 ];
   let csv = Metrics.to_csv Metrics.default in
   let lines = String.split_on_char '\n' (String.trim csv) in
   (match lines with
@@ -153,25 +167,106 @@ let test_csv_dump () =
       | [ "test.csv.counter"; _; _; p50; p99; _ ] ->
         check_str "counter p50 empty" "" p50;
         check_str "counter p99 empty" "" p99
-      | [ "test.csv.histogram"; _; _; p50; p99; _ ] ->
-        check "histogram p50 integer" true (int_of_string_opt p50 <> None);
-        check "histogram p99 integer" true (int_of_string_opt p99 <> None)
+      | [ "test.csv.histogram"; kind; value; p50; p99; detail ] ->
+        check_str "histogram kind" "histogram" kind;
+        check_str "histogram count" "5" value;
+        (* p50 is exact below 64; 100 sits in the [100, 101] bucket *)
+        check_str "histogram p50" "3" p50;
+        check_str "histogram p99" "101" p99;
+        check_str "histogram detail" "sum=110 mean=22.0" detail
       | _ -> ())
     lines
 
-let test_histogram_quantile () =
+let test_dump_quantiles () =
   with_clean @@ fun () ->
   let h = Metrics.histogram Metrics.default "test.hq" in
-  (* 10 samples in bucket of 1 (upper bound 1), one in bucket of 100
-     (log2 bucket 6, upper bound 127). *)
+  (* 10 samples of 1 (an exact bucket), one of 100 (bucket [100, 101]). *)
   for _ = 1 to 10 do
-    Metrics.observe h 1
+    Quantile.record h 1
   done;
-  Metrics.observe h 100;
-  check_int "p50 = small bucket bound" 1 (Metrics.histogram_quantile h 0.5);
-  check_int "p99 lands in the top bucket" 127 (Metrics.histogram_quantile h 0.99);
-  let empty = Metrics.histogram Metrics.default "test.hq.empty" in
-  check_int "empty histogram quantile 0" 0 (Metrics.histogram_quantile empty 0.5)
+  Quantile.record h 100;
+  let row name =
+    List.find (fun r -> r.Metrics.name = name) (Metrics.dump Metrics.default)
+  in
+  let r = row "test.hq" in
+  check "p50 = small bucket bound" true (r.Metrics.p50 = Some 1);
+  check "p99 lands in the top bucket" true (r.Metrics.p99 = Some 101);
+  ignore (Metrics.histogram Metrics.default "test.hq.empty");
+  let e = row "test.hq.empty" in
+  check "empty histogram quantile 0" true (e.Metrics.p50 = Some 0 && e.Metrics.p99 = Some 0)
+
+(* Heaps and the serve loop hold a handle per instrument; creating one
+   must not allocate a cell (a Quantile cell is 58 x 32 ints). *)
+let test_handles_allocate_no_cell () =
+  with_clean @@ fun () ->
+  let h = Metrics.histogram Metrics.default "test.handles" in
+  let n = 1000 in
+  let per_handle make =
+    let before = Gc.allocated_bytes () in
+    let handles = Array.init n (fun _ -> make ()) in
+    let bytes = (Gc.allocated_bytes () -. before) /. float_of_int n in
+    (handles, bytes)
+  in
+  let qs, q_bytes = per_handle (fun () -> Quantile.local h) in
+  check (Printf.sprintf "Quantile.local: %.0f B/handle < 1 KiB" q_bytes) true
+    (q_bytes < 1024.);
+  let _, a_bytes = per_handle Dh_obs.Audit.local in
+  check (Printf.sprintf "Audit.local: %.0f B/handle < 1 KiB" a_bytes) true
+    (a_bytes < 1024.);
+  (* the first record resolves the real cell; later ones reuse it *)
+  Array.iteri (fun i l -> Quantile.record_local l i) qs;
+  Quantile.record_local qs.(0) 5;
+  let s = Quantile.snapshot h in
+  check_int "every handle recorded" (n + 1) (Quantile.count s);
+  check_int "sum through handles" ((n * (n - 1) / 2) + 5) (Quantile.sum s)
+
+let test_gauge_fn_kind_mismatch () =
+  with_clean @@ fun () ->
+  let reg = Metrics.default in
+  let c = Metrics.counter reg "test.gf.counter" in
+  Metrics.add c 4;
+  ignore (Metrics.histogram reg "test.gf.histogram");
+  ignore (Metrics.window reg "test.gf.window" ~width:4 ~buckets:2);
+  List.iter
+    (fun name ->
+      match Metrics.gauge_fn reg name (fun () -> 1) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "gauge_fn replaced %s" name)
+    [ "test.gf.counter"; "test.gf.histogram"; "test.gf.window" ];
+  let rows = Metrics.dump reg in
+  let kind name = (List.find (fun r -> r.Metrics.name = name) rows).Metrics.kind in
+  check_str "counter survives" "counter" (kind "test.gf.counter");
+  check_str "histogram survives" "histogram" (kind "test.gf.histogram");
+  check_int "counter value intact" 4 (Metrics.counter_value c);
+  check "window survives" true (Metrics.find_window reg "test.gf.window" <> None);
+  (* replacing a gauge, plain or callback, is still allowed *)
+  Metrics.set (Metrics.gauge reg "test.gf.gauge") 3;
+  Metrics.gauge_fn reg "test.gf.gauge" (fun () -> 9);
+  check_int "gauge replaced by callback" 9
+    (List.find (fun r -> r.Metrics.name = "test.gf.gauge") (Metrics.dump reg)).Metrics.value
+
+let test_one_registry () =
+  with_clean @@ fun () ->
+  let reg = Metrics.default in
+  let w = Metrics.window reg "test.reg.window" ~width:10 ~buckets:4 in
+  check "same window" true (Metrics.window reg "test.reg.window" ~width:10 ~buckets:4 == w);
+  (match Metrics.counter reg "test.reg.window" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "counter over a window accepted");
+  ignore (Metrics.counter reg "test.reg.counter");
+  (match Metrics.window reg "test.reg.counter" ~width:10 ~buckets:4 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "window over a counter accepted");
+  check "find_window ignores other kinds" true
+    (Metrics.find_window reg "test.reg.counter" = None);
+  Quantile.record (Metrics.histogram reg "test.reg.histogram") 7;
+  Window.add w ~now:0 1;
+  (* one reset clears every kind *)
+  Metrics.reset reg;
+  check "window dropped" true (Metrics.find_window reg "test.reg.window" = None);
+  check_int "histogram dropped" 0
+    (Quantile.count (Quantile.snapshot (Metrics.histogram reg "test.reg.histogram")));
+  check_int "dump holds only what was recreated" 1 (List.length (Metrics.dump reg))
 
 (* --- tracing -------------------------------------------------------- *)
 
@@ -340,7 +435,10 @@ let suite =
     Alcotest.test_case "gauges and callbacks" `Quick test_gauges;
     Alcotest.test_case "instrument kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "metrics csv dump" `Quick test_csv_dump;
-    Alcotest.test_case "metrics histogram quantile" `Quick test_histogram_quantile;
+    Alcotest.test_case "metrics histogram quantile" `Quick test_dump_quantiles;
+    Alcotest.test_case "local handles allocate no cell" `Quick test_handles_allocate_no_cell;
+    Alcotest.test_case "gauge_fn rejects another kind" `Quick test_gauge_fn_kind_mismatch;
+    Alcotest.test_case "one registry, one reset" `Quick test_one_registry;
     Alcotest.test_case "trace ring wraps" `Quick test_ring_wrap;
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "chrome trace json" `Quick test_chrome_json;

@@ -283,14 +283,16 @@ let test_metrics_shard_merge_under_pool () =
   let out =
     Pool.init ~pool 200 (fun i ->
         Dh_obs.Metrics.incr c;
-        Dh_obs.Metrics.observe h i;
+        Dh_obs.Quantile.record h i;
         i)
   in
   check "work really happened" true (out = Array.init 200 Fun.id);
   check_int "counter merges worker shards" 200 (Dh_obs.Metrics.counter_value c);
-  check_int "histogram merges worker shards" 200
-    (Dh_obs.Metrics.histogram_total h);
-  check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Metrics.histogram_sum h)
+  let s = Dh_obs.Quantile.snapshot h in
+  check_int "histogram merges worker shards" 200 (Dh_obs.Quantile.count s);
+  check_int "histogram sum" (199 * 200 / 2) (Dh_obs.Quantile.sum s);
+  (* the merged p50 is the 100th sample, 99, in the [98, 99] bucket *)
+  check_int "histogram merged p50" 99 (Dh_obs.Quantile.quantile s 0.5)
 
 (* Telemetry is write-only: a traced run must produce bit-identical
    results to an untraced one, sequentially and in parallel.  Flight

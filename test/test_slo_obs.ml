@@ -6,6 +6,7 @@
    write-only: output is identical with observability on or off). *)
 
 module Control = Dh_obs.Control
+module Metrics = Dh_obs.Metrics
 module Quantile = Dh_obs.Quantile
 module Window = Dh_obs.Window
 module Slo = Dh_obs.Slo
@@ -19,10 +20,8 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let wipe () =
-  Quantile.reset ();
-  Window.reset ();
   Slo.deactivate ();
-  Dh_obs.Metrics.reset Dh_obs.Metrics.default;
+  Metrics.reset Metrics.default;
   Tracing.reset ();
   Recorder.clear ()
 
@@ -120,7 +119,7 @@ let test_snapshot_arithmetic () =
 
 let test_shard_merge_under_domains () =
   with_clean @@ fun () ->
-  let t = Quantile.get "test.sharded" in
+  let t = Metrics.histogram Metrics.default "test.sharded" in
   (* Four domains record disjoint slices concurrently; the merged
      snapshot must equal a single-domain recording of the whole set. *)
   let slice d = List.init 500 (fun i -> (d * 10_000) + (i * 7)) in
@@ -188,11 +187,12 @@ let test_window_rotation_and_jumps () =
 
 let test_window_registry () =
   with_clean @@ fun () ->
-  let w = Window.get "test.win" ~width:10 ~buckets:4 in
-  check "same instance" true (Window.get "test.win" ~width:10 ~buckets:4 == w);
-  check "find sees it" true (Window.find "test.win" = Some w);
-  check "find misses" true (Window.find "test.win.other" = None);
-  (match Window.get "test.win" ~width:5 ~buckets:4 with
+  let reg = Metrics.default in
+  let w = Metrics.window reg "test.win" ~width:10 ~buckets:4 in
+  check "same instance" true (Metrics.window reg "test.win" ~width:10 ~buckets:4 == w);
+  check "find sees it" true (Metrics.find_window reg "test.win" = Some w);
+  check "find misses" true (Metrics.find_window reg "test.win.other" = None);
+  (match Metrics.window reg "test.win" ~width:5 ~buckets:4 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "geometry mismatch accepted")
 
@@ -322,30 +322,30 @@ let test_advertised_step () =
 
 (* --- the supervisor's serve telemetry -------------------------------- *)
 
-let serve_incident ~obs () =
+let serve_incident ?(requests = 512) ?(attack_every = 48) ?(interval = 64) ~obs () =
   let policy =
     {
       Supervisor.default_policy with
-      Supervisor.checkpoint_interval = 64;
+      Supervisor.checkpoint_interval = interval;
       max_rewinds = 32;
     }
   in
   Supervisor.run ~policy
     ~config:(Diehard.Config.v ~heap_size:Server.heap_size ~obs ())
     ~seed_pool:(Dh_rng.Seed.create ~master:5)
-    (Server.program ~requests:512 ~attack_every:48 ())
+    (Server.program ~requests ~attack_every ())
 
 let test_serve_telemetry () =
   with_clean @@ fun () ->
   let slo = Slo.configure ~name:"test-serve" ~target:max_int ~budget:0.5 () in
   let incident = serve_incident ~obs:true () in
   check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
-  let s = Quantile.(snapshot (get "serve.latency_ns")) in
+  let s = Quantile.snapshot (Metrics.histogram Metrics.default "serve.latency_ns") in
   (* every request (plus rewound replays) recorded a latency *)
   check "latency samples >= requests" true (Quantile.count s >= 512);
   check "latencies are positive" true (Quantile.quantile s 0.5 > 0);
   let total name =
-    match Window.find name with
+    match Metrics.find_window Metrics.default name with
     | Some w -> Window.total w ~now:511
     | None -> Alcotest.failf "window %s not registered" name
   in
@@ -353,6 +353,40 @@ let test_serve_telemetry () =
   let r = Slo.report slo in
   check "slo counted the run" true (r.Slo.total >= 512);
   check "generous slo not breached" true (not r.Slo.breached)
+
+(* The CSV dump of a real supervised serve run with checkpoints: one row
+   per name, and each histogram row's p50/p99 are its own instrument's
+   quantiles — small samples such as probe counts at their exact value,
+   not a power-of-two bound. *)
+let test_serve_metrics_csv () =
+  with_clean @@ fun () ->
+  let incident =
+    serve_incident ~requests:4096 ~attack_every:97 ~interval:512 ~obs:true ()
+  in
+  check "survived" true (incident.Supervisor.verdict <> Supervisor.Gave_up);
+  let rows =
+    match String.split_on_char '\n' (String.trim (Metrics.to_csv Metrics.default)) with
+    | _header :: rows -> List.map (String.split_on_char ',') rows
+    | [] -> Alcotest.fail "empty csv"
+  in
+  let names = List.map List.hd rows in
+  check_int "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let histogram_row name =
+    match List.filter (fun r -> List.hd r = name) rows with
+    | [ [ _; kind; count; p50; p99; _ ] ] ->
+      check_str (name ^ " kind") "histogram" kind;
+      let s = Quantile.snapshot (Metrics.histogram Metrics.default name) in
+      check_str (name ^ " count") (string_of_int (Quantile.count s)) count;
+      check_str (name ^ " p50") (string_of_int (Quantile.quantile s 0.5)) p50;
+      check_str (name ^ " p99") (string_of_int (Quantile.quantile s 0.99)) p99;
+      int_of_string p99
+    | found -> Alcotest.failf "%d %s rows, expected one" (List.length found) name
+  in
+  ignore (histogram_row "serve.latency_ns");
+  let probes_p99 = histogram_row "heap.malloc.probes" in
+  check "probes p99 is an exact bucket" true
+    (Quantile.bucket_bounds (Quantile.bucket_of probes_p99) = (probes_p99, probes_p99))
 
 let test_serve_telemetry_write_only () =
   (* The determinism contract: the same run with telemetry on and off
@@ -419,6 +453,8 @@ let suite =
       test_advertised_step;
     Alcotest.test_case "serve: supervisor publishes telemetry" `Quick
       test_serve_telemetry;
+    Alcotest.test_case "serve: metrics csv from a supervised run" `Quick
+      test_serve_metrics_csv;
     Alcotest.test_case "serve: telemetry is write-only" `Quick
       test_serve_telemetry_write_only;
     Alcotest.test_case "serve: zipf keys stay deterministic" `Quick
