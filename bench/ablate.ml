@@ -190,8 +190,7 @@ let a6_adaptive () =
   in
   let run_adaptive () =
     let mem = Dh_mem.Mem.create () in
-    let adaptive = Diehard.Adaptive.create mem in
-    let alloc = Diehard.Adaptive.allocator adaptive in
+    let alloc = Heap.allocator (Heap.create ~config:(Diehard.Config.v ~grow:0 ()) mem) in
     let r = Dh_workload.Driver.run profile alloc in
     (Dh_mem.Mem.mapped_bytes mem, r.Dh_workload.Driver.checksum)
   in

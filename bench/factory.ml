@@ -13,13 +13,16 @@ let gc ?arena_size ?heap_limit () =
   Dh_alloc.Gc.allocator (Dh_alloc.Gc.create ?arena_size ?heap_limit mem)
 
 let diehard_heap ?(seed = 1) ?(heap_size = Diehard.Config.default.Diehard.Config.heap_size)
-    ?(replicated = false) ?(mesh = false) ?mesh_threshold () =
+    ?(replicated = false) ?(mesh = false) ?mesh_threshold ?grow () =
   let mem = Dh_mem.Mem.create () in
-  let config = Diehard.Config.v ~heap_size ~seed ~replicated ~mesh ?mesh_threshold () in
+  let config =
+    Diehard.Config.v ~heap_size ~seed ~replicated ~mesh ?mesh_threshold ?grow ()
+  in
   Diehard.Heap.create ~config mem
 
-let diehard ?seed ?heap_size ?replicated ?mesh ?mesh_threshold () =
-  Diehard.Heap.allocator (diehard_heap ?seed ?heap_size ?replicated ?mesh ?mesh_threshold ())
+let diehard ?seed ?heap_size ?replicated ?mesh ?mesh_threshold ?grow () =
+  Diehard.Heap.allocator
+    (diehard_heap ?seed ?heap_size ?replicated ?mesh ?mesh_threshold ?grow ())
 
 (* Allocators for the "systems" columns of Table 1.  Each returns the
    allocator and the access-policy kind the system implies. *)

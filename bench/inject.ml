@@ -29,14 +29,11 @@ let campaign ~label ~spec ~trials =
          (M-1) x live, so Theorem 2's guarantee is far weaker — the
          space-reliability trade-off made visible. *)
       run_on "adaptive (tight)" (fun ~trial ->
-          Diehard.Adaptive.allocator
-            (Diehard.Adaptive.create ~seed:(trial + 11) (Dh_mem.Mem.create ())));
+          Factory.diehard ~grow:0 ~seed:(trial + 11) ());
       (* ...and with 64K free slots of headroom per class, matching the
          fixed heap's Q, the protection comes back. *)
       run_on "adaptive (64K headroom)" (fun ~trial ->
-          Diehard.Adaptive.allocator
-            (Diehard.Adaptive.create ~min_headroom:65536 ~seed:(trial + 11)
-               (Dh_mem.Mem.create ())));
+          Factory.diehard ~grow:65536 ~seed:(trial + 11) ());
     ]
   in
   Report.table ~header:[ "allocator"; "outcomes" ] rows;

@@ -41,7 +41,7 @@ let allocator_arg =
     "Memory manager: diehard, adaptive (grow-on-demand DieHard), libc (Lea-style \
      freelist), libc-win, or gc."
   in
-  Arg.(value & opt (enum [ ("diehard", `Diehard); ("adaptive", `Adaptive); ("libc", `Libc); ("libc-win", `Libc_win); ("gc", `Gc) ]) `Diehard
+  Arg.(value & opt (enum [ ("diehard", `Diehard); ("adaptive", `Growable); ("libc", `Libc); ("libc-win", `Libc_win); ("gc", `Gc) ]) `Diehard
        & info [ "a"; "allocator" ] ~docv:"ALLOC" ~doc)
 
 let policy_arg =
@@ -138,10 +138,10 @@ let obs_term = Term.(const obs_setup $ obs_trace_arg $ obs_metrics_arg)
 let make_allocator ?(mesh = false) ?mesh_threshold kind ~seed ~heap_size =
   let mem = Dh_mem.Mem.create () in
   match kind with
-  | `Diehard ->
-    let config = Diehard.Config.v ~heap_size ~seed ~mesh ?mesh_threshold () in
+  | (`Diehard | `Growable) as kind ->
+    let grow = if kind = `Growable then Some 0 else None in
+    let config = Diehard.Config.v ~heap_size ~seed ~mesh ?mesh_threshold ?grow () in
     Diehard.Heap.allocator (Diehard.Heap.create ~config mem)
-  | `Adaptive -> Diehard.Adaptive.allocator (Diehard.Adaptive.create ~seed mem)
   | `Libc -> Dh_alloc.Freelist.allocator (Dh_alloc.Freelist.create mem)
   | `Libc_win ->
     Dh_alloc.Freelist.allocator

@@ -10,7 +10,7 @@
      dune exec bin/fuzz.exe -- --rounds 200 --ops 400 --seed 1
 
    This is the repository's standing differential test: the per-module
-   suites check behaviours, the fuzzer checks that seven memory
+   suites check behaviours, the fuzzer checks that eight memory
    managers agree on what a well-behaved program computes. *)
 
 open Cmdliner
@@ -126,7 +126,17 @@ let allocators ~seed =
              ~config:(Diehard.Config.v ~heap_size:(48 lsl 20) ~seed ~replicated:true ())
              (Mem.create ())) );
     ( "diehard-adaptive",
-      fun () -> Diehard.Adaptive.allocator (Diehard.Adaptive.create ~seed (Mem.create ())) );
+      fun () ->
+        Diehard.Heap.allocator
+          (Diehard.Heap.create
+             ~config:(Diehard.Config.v ~seed ~grow:0 ())
+             (Mem.create ())) );
+    ( "diehard-adaptive+mesh",
+      fun () ->
+        Diehard.Heap.allocator
+          (Diehard.Heap.create
+             ~config:(Diehard.Config.v ~seed ~grow:0 ~mesh:true ~mesh_threshold:4096 ())
+             (Mem.create ())) );
     ( "diehard-hybrid",
       fun () ->
         Diehard.Hybrid.allocator

@@ -10,6 +10,7 @@ type t = {
   mesh : bool;
   mesh_threshold : int;
   max_live_fraction : float option;
+  grow : int option;
 }
 
 let validate t =
@@ -20,6 +21,9 @@ let validate t =
   | Some _ | None -> ());
   if t.jobs < 1 then invalid_arg "Config: jobs must be >= 1";
   if t.mesh_threshold <= 0 then invalid_arg "Config: mesh threshold must be positive";
+  (match t.grow with
+  | Some h when h < 0 -> invalid_arg "Config: grow headroom must be >= 0"
+  | Some _ | None -> ());
   let region = t.heap_size / Size_class.count in
   if region < Size_class.max_size * t.multiplier then
     invalid_arg "Config: heap too small for the largest size class";
@@ -37,6 +41,7 @@ let default =
       mesh = false;
       mesh_threshold = 256 lsl 10;
       max_live_fraction = None;
+      grow = None;
     }
 
 let paper_default = validate { default with heap_size = 384 lsl 20 }
@@ -44,7 +49,7 @@ let paper_default = validate { default with heap_size = 384 lsl 20 }
 let v ?(multiplier = default.multiplier) ?(heap_size = default.heap_size)
     ?(replicated = default.replicated) ?(seed = default.seed)
     ?(jobs = default.jobs) ?(obs = default.obs) ?(mesh = default.mesh)
-    ?(mesh_threshold = default.mesh_threshold) ?max_live_fraction () =
+    ?(mesh_threshold = default.mesh_threshold) ?max_live_fraction ?grow () =
   validate
     {
       multiplier;
@@ -56,6 +61,7 @@ let v ?(multiplier = default.multiplier) ?(heap_size = default.heap_size)
       mesh;
       mesh_threshold;
       max_live_fraction;
+      grow;
     }
 
 let region_size t =
@@ -67,9 +73,14 @@ let objects_in_region t ~class_ = region_size t / Size_class.size class_
 (* The occupancy ceiling of §4.2.  [max_live_fraction] generalizes the
    integer expansion factor to fractional M (ceiling = 1/M): the
    safety-margin audit sweeps M = 1.5, which no integer [multiplier]
-   can express.  [None] preserves the paper's [objects / M] exactly. *)
-let threshold t ~class_ =
-  let objects = objects_in_region t ~class_ in
-  match t.max_live_fraction with
-  | None -> objects / t.multiplier
-  | Some f -> max 1 (int_of_float (f *. float_of_int objects))
+   can express.  [None] preserves the paper's [objects / M] exactly.
+   Under growth the ceiling also keeps [h] slots free. *)
+let live_limit t objects =
+  let limit =
+    match t.max_live_fraction with
+    | None -> objects / t.multiplier
+    | Some f -> max 1 (int_of_float (f *. float_of_int objects))
+  in
+  match t.grow with None -> limit | Some h -> min limit (objects - h)
+
+let threshold t ~class_ = live_limit t (objects_in_region t ~class_)

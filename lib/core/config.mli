@@ -12,7 +12,8 @@ type t = {
   heap_size : int;
       (** Total small-object heap size H in bytes, divided evenly among
           the twelve size-class regions.  Regions are mapped lazily, so a
-          large configured heap costs only what is touched. *)
+          large configured heap costs only what is touched.  A growable
+          heap ([grow]) ignores it: its regions grow without bound. *)
   replicated : bool;
       (** Fill the heap and every allocated object with random values —
           required to detect uninitialized reads across replicas (§4.1,
@@ -51,6 +52,18 @@ type t = {
           M (the safety-margin audit sweeps M = 1.5, i.e. [f = 2/3]);
           must lie in (0, 1].  [None] (the default) keeps the paper's
           integer-M arithmetic exactly. *)
+  grow : int option;
+      (** [Some h] makes the heap growable — the paper's §9 "adaptive
+          version of DieHard that grows memory regions dynamically".
+          Each size class starts empty and, instead of returning NULL at
+          its threshold, maps a new region twice the size of its last
+          (the first holds 64 objects, or a whole page of smaller ones).  The class's
+          regions form one DieHard region: slots are drawn uniformly over
+          their total capacity, which the [1/M] threshold bounds, and at
+          least [h] slots stay free.  Theorem 2's masking scales with the
+          free slots, so [h] is the space-reliability dial: [Some 0]
+          grows tightly, [Some 65536] buys back a fixed heap's
+          protection.  [None] (the default) is the fixed heap. *)
 }
 
 val default : t
@@ -71,13 +84,14 @@ val v :
   ?mesh:bool ->
   ?mesh_threshold:int ->
   ?max_live_fraction:float ->
+  ?grow:int ->
   unit ->
   t
 (** Build a configuration, defaulting missing fields from {!default}.
     Raises [Invalid_argument] if [multiplier < 2], [jobs < 1],
-    [mesh_threshold <= 0], [max_live_fraction] outside (0, 1], or the
-    heap is too small to give each region one object of the largest
-    size class. *)
+    [mesh_threshold <= 0], [max_live_fraction] outside (0, 1], a
+    negative [grow] headroom, or the heap is too small to give each
+    region one object of the largest size class. *)
 
 val region_size : t -> int
 (** Bytes per size-class region ([heap_size / 12], page-rounded down). *)
@@ -85,7 +99,13 @@ val region_size : t -> int
 val objects_in_region : t -> class_:int -> int
 (** Capacity in objects of the region for [class_]. *)
 
+val live_limit : t -> int -> int
+(** [live_limit t objects] — the most live objects a size class of
+    [objects] slots may hold: [objects / M], or [floor (f * objects)]
+    under [max_live_fraction]; under [grow = Some h], at most
+    [objects - h]. *)
+
 val threshold : t -> class_:int -> int
-(** Maximum live objects the region for [class_] may hold
-    ([objects / M], or [floor (f * objects)] under [max_live_fraction])
-    — allocation beyond this returns NULL (§4.2). *)
+(** Maximum live objects the region for [class_] of a fixed heap may
+    hold ([live_limit] of its capacity) — allocation beyond this returns
+    NULL (§4.2). *)

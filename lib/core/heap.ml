@@ -7,8 +7,8 @@ module Allocator = Dh_alloc.Allocator
 
 type region = {
   class_ : int;
+  first : int;  (* class-wide index of slot 0: the slots of the chain before it *)
   capacity : int;  (* slots *)
-  threshold : int;  (* capacity / M *)
   bitmap : Bitmap.t;
   mutable base : int;  (* 0 until lazily mapped *)
   mutable in_use : int;
@@ -30,6 +30,21 @@ type region = {
          stale object.  Deliberately not snapshotted: provenance is
          best-effort telemetry, and rewinding it would misattribute the
          replayed window's allocations. *)
+}
+
+(* A size class.  A fixed heap gives it one region; a growable one
+   ({!Config.t.grow}) a chain of regions, each twice the size of the one
+   before, that act as one DieHard region: slots are numbered across the
+   chain and drawn uniformly over [slots], and the threshold bounds the
+   class as a whole.  The totals mirror the chain's per-region counts. *)
+type size_class = {
+  mutable chain : region array;
+      (* oldest first; growth replaces the array and never mutates it, so
+         a snapshot can keep the array it saw *)
+  mutable slots : int;  (* total capacity *)
+  mutable limit : int;  (* live-object threshold *)
+  mutable live : int;
+  mutable meshed : int;
 }
 
 type large_object = { payload : int; size : int; map_base : int; map_len : int }
@@ -61,7 +76,9 @@ type t = {
       (* The SplitMesher draws from its own deterministic stream: meshing
          must never advance the allocation generator, or mesh-off and
          mesh-on runs would diverge before the first mesh. *)
-  regions : region array;
+  classes : size_class array;
+  mutable regions : region array;
+      (* every class's chain, concatenated: the address lookup's scan *)
   mutable large : large_object Imap.t;  (* keyed by payload base *)
   mutable large_sites : int Imap.t;
       (* payload -> site id, audit provenance only.  Entries are kept
@@ -72,45 +89,71 @@ type t = {
   mutable obs : obs_instruments option;
 }
 
+let mapped_regions cls =
+  Array.fold_left (fun n region -> if region.base <> 0 then n + 1 else n) 0 cls.chain
+
 (* The flight recorder asks for this at fault time: live slots per size
    class, so an incident report shows how full the heap was. *)
 let occupancy_summary t () =
   let b = Buffer.create 256 in
-  Array.iter
-    (fun region ->
-      if region.base <> 0 || region.in_use > 0 then
+  Array.iteri
+    (fun class_ cls ->
+      if mapped_regions cls > 0 || cls.live > 0 then
         Buffer.add_string b
-          (Printf.sprintf "class %2d (%5dB): %d/%d in use (threshold %d)\n"
-             region.class_
-             (Size_class.size region.class_)
-             region.in_use region.capacity region.threshold))
-    t.regions;
+          (Printf.sprintf "class %2d (%5dB): %d/%d in use (threshold %d)\n" class_
+             (Size_class.size class_) cls.live cls.slots cls.limit))
+    t.classes;
   let larges = Imap.cardinal t.large in
   if larges > 0 then Buffer.add_string b (Printf.sprintf "large objects: %d\n" larges);
   if Buffer.length b = 0 then Buffer.add_string b "heap empty (no region mapped)\n";
   Buffer.contents b
 
+let make_region class_ ~first ~capacity =
+  let size = Size_class.size class_ in
+  let slots_per_page = if size <= Mem.page_size then Mem.page_size / size else 0 in
+  let pages = if slots_per_page = 0 then 0 else capacity / slots_per_page in
+  {
+    class_;
+    first;
+    capacity;
+    bitmap = Bitmap.create capacity;
+    base = 0;
+    in_use = 0;
+    slots_per_page;
+    page_live = Array.make pages 0;
+    masked = Bitmap.create capacity;
+    buddy = Array.make pages (-1);
+    meshed = 0;
+    sites = [||];
+  }
+
+(* Install a chain and recompute the class's totals from it. *)
+let set_chain config cls chain =
+  cls.chain <- chain;
+  cls.slots <- 0;
+  cls.live <- 0;
+  cls.meshed <- 0;
+  Array.iter
+    (fun region ->
+      cls.slots <- cls.slots + region.capacity;
+      cls.live <- cls.live + region.in_use;
+      cls.meshed <- cls.meshed + region.meshed)
+    chain;
+  cls.limit <- Config.live_limit config cls.slots
+
 let create ?(config = Config.default) mem =
-  let regions =
+  let classes =
     Array.init Size_class.count (fun class_ ->
-        let capacity = Config.objects_in_region config ~class_ in
-        let size = Size_class.size class_ in
-        let slots_per_page = if size <= Mem.page_size then Mem.page_size / size else 0 in
-        let pages = if slots_per_page = 0 then 0 else capacity / slots_per_page in
-        {
-          class_;
-          capacity;
-          threshold = Config.threshold config ~class_;
-          bitmap = Bitmap.create capacity;
-          base = 0;
-          in_use = 0;
-          slots_per_page;
-          page_live = Array.make pages 0;
-          masked = Bitmap.create capacity;
-          buddy = Array.make pages (-1);
-          meshed = 0;
-          sites = [||];
-        })
+        let chain =
+          match config.Config.grow with
+          | Some _ -> [||]
+          | None ->
+            let capacity = Config.objects_in_region config ~class_ in
+            [| make_region class_ ~first:0 ~capacity |]
+        in
+        let cls = { chain; slots = 0; limit = 0; live = 0; meshed = 0 } in
+        set_chain config cls chain;
+        cls)
   in
   let t =
     {
@@ -120,7 +163,8 @@ let create ?(config = Config.default) mem =
       (* Any fixed perturbation decorrelates the two streams while staying
          a pure function of the configured seed (determinism). *)
       mesh_rng = Mwc.create ~seed:(config.Config.seed lxor 0x4d455348);
-      regions;
+      classes;
+      regions = Array.concat (Array.to_list (Array.map (fun cls -> cls.chain) classes));
       large = Imap.empty;
       large_sites = Imap.empty;
       stats = Stats.create ();
@@ -137,16 +181,17 @@ let create ?(config = Config.default) mem =
        capacity per class) straight from the newest heap; cumulative
        audit counters would drift across checkpoint rewinds. *)
     Dh_obs.Audit.set_occupancy_provider (fun () ->
-        Array.to_list t.regions
-        |> List.filter_map (fun region ->
-               if region.base = 0 && region.in_use = 0 then None
+        List.init Size_class.count Fun.id
+        |> List.filter_map (fun class_ ->
+               let cls = t.classes.(class_) in
+               if mapped_regions cls = 0 && cls.live = 0 then None
                else
                  Some
                    {
-                     Dh_obs.Audit.occ_class = region.class_;
-                     live = region.in_use;
-                     threshold = region.threshold;
-                     capacity = region.capacity;
+                     Dh_obs.Audit.occ_class = class_;
+                     live = cls.live;
+                     threshold = cls.limit;
+                     capacity = cls.slots;
                    }));
     Dh_obs.Recorder.register_context "audit.top-sites" Dh_obs.Audit.top_sites_summary
   end;
@@ -192,7 +237,9 @@ let rng t = t.rng
    Everything is restored in place: the allocator record handed out by
    {!allocator}, registered gauges, and the interpreter all alias
    [t.stats] / [t.rng] / the per-region bitmaps, and must observe the
-   restored state through those aliases. *)
+   restored state through those aliases.  A region grown since the
+   snapshot is dropped from its chain, in lockstep with [Mem.rewind]
+   discarding its segment. *)
 
 type region_snapshot = {
   rs_bitmap : Bitmap.t;
@@ -205,6 +252,8 @@ type region_snapshot = {
 }
 
 type snapshot = {
+  snap_chains : region array array;
+  snap_all : region array;  (* [t.regions] then; [snap_regions] pairs with it *)
   snap_regions : region_snapshot array;
   snap_large : large_object Imap.t;  (* immutable map of immutable records *)
   snap_rng : Mwc.t;
@@ -216,6 +265,8 @@ type snapshot = {
 
 let snapshot t =
   {
+    snap_chains = Array.map (fun cls -> cls.chain) t.classes;
+    snap_all = t.regions;
     snap_regions =
       Array.map
         (fun region ->
@@ -242,7 +293,7 @@ let restore t snap =
      [Mem.rewind], which undoes the corresponding physical remaps. *)
   Array.iteri
     (fun i rs ->
-      let region = t.regions.(i) in
+      let region = snap.snap_all.(i) in
       Bitmap.assign region.bitmap ~from:rs.rs_bitmap;
       region.base <- rs.rs_base;
       region.in_use <- rs.rs_in_use;
@@ -251,6 +302,8 @@ let restore t snap =
       Array.blit rs.rs_buddy 0 region.buddy 0 (Array.length rs.rs_buddy);
       region.meshed <- rs.rs_meshed)
     snap.snap_regions;
+  Array.iteri (fun c chain -> set_chain t.config t.classes.(c) chain) snap.snap_chains;
+  t.regions <- snap.snap_all;
   t.large <- snap.snap_large;
   Mwc.assign t.rng ~from:snap.snap_rng;
   Mwc.assign t.mesh_rng ~from:snap.snap_mesh_rng;
@@ -270,6 +323,21 @@ let ensure_mapped t region =
         region.base <- Mem.mmap t.mem len;
         if t.config.Config.replicated then
           Mem.fill_random t.mem ~addr:region.base ~len t.rng)
+
+(* Growth (§9): map a region twice the size of the class's newest — the
+   first holds 64 objects, or a whole page of smaller ones, so every
+   region is whole pages for the mesher — and the address space stays
+   within a constant factor of the live set. *)
+let grow t class_ cls =
+  let n = Array.length cls.chain in
+  let capacity =
+    if n > 0 then 2 * cls.chain.(n - 1).capacity
+    else max 64 (Mem.page_size / Size_class.size class_)
+  in
+  let region = make_region class_ ~first:cls.slots ~capacity in
+  ensure_mapped t region;
+  set_chain t.config cls (Array.append cls.chain [| region |]);
+  t.regions <- Array.append t.regions [| region |]
 
 (* --- large objects (> 16 KB): individual mappings with guard pages --- *)
 
@@ -384,6 +452,8 @@ let mesh_pair t region a b =
   region.buddy.(a) <- b;
   region.buddy.(b) <- a;
   region.meshed <- region.meshed + 1;
+  let cls = t.classes.(region.class_) in
+  cls.meshed <- cls.meshed + 1;
   t.meshes <- t.meshes + 1
 
 (* Keep at least 1/8 of a region's slots free-and-unmasked: meshing
@@ -467,7 +537,7 @@ let meshes t = t.meshes
    slot position (randomness entropy), size-class flow, and the
    allocation site — explicit from the caller, or the ambient
    {!Dh_obs.Audit.current_site} the workload bracketed. *)
-let observe_malloc t ~probes ~bytes ~region ~index ~site =
+let observe_malloc t ~probes ~bytes ~cls ~region ~index ~site =
   if Dh_obs.Control.enabled () then begin
     let o = obs_instruments t in
     Dh_obs.Quantile.record_local o.malloc_probes probes;
@@ -477,22 +547,38 @@ let observe_malloc t ~probes ~bytes ~region ~index ~site =
     in
     if Array.length region.sites = 0 then
       region.sites <- Array.make region.capacity Dh_obs.Audit.unknown;
-    region.sites.(index) <- site;
-    Dh_obs.Audit.record_alloc o.audit ~class_:region.class_ ~index
-      ~capacity:region.capacity ~site;
+    region.sites.(index - region.first) <- site;
+    Dh_obs.Audit.record_alloc o.audit ~class_:region.class_ ~index ~capacity:cls.slots
+      ~site;
     if (t.stats.Stats.mallocs - 1) mod trace_sample = 0 then
       Dh_obs.Tracing.instant ~arg:(string_of_int bytes) "heap.malloc"
   end
 
-let malloc_small t site sz class_ =
-  let region = t.regions.(class_) in
-  if
-    region.in_use >= region.threshold
-    || (region.meshed > 0
-       && region.in_use + Bitmap.cardinal region.masked >= region.capacity)
-  then begin
+(* The chain region holding class-wide slot [index], searched from the
+   newest (largest) region down. *)
+let rec locate_from chain index i =
+  let region = chain.(i) in
+  if index >= region.first then region else locate_from chain index (i - 1)
+
+let locate cls index = locate_from cls.chain index (Array.length cls.chain - 1)
+
+let masked_slots cls =
+  Array.fold_left (fun n region -> n + Bitmap.cardinal region.masked) 0 cls.chain
+
+let rec malloc_small t site sz class_ =
+  let cls = t.classes.(class_) in
+  let full =
+    cls.live >= cls.limit || (cls.meshed > 0 && cls.live + masked_slots cls >= cls.slots)
+  in
+  if full && t.config.Config.grow <> None then begin
+    (* Growth sits only on this branch, where a fixed heap returns NULL,
+       so a fixed heap's probes and rng stream are untouched. *)
+    grow t class_ cls;
+    malloc_small t site sz class_
+  end
+  else if full then begin
     (* At threshold: this size class offers no more memory (§4.2).  A
-       meshed region can also exhaust its probeable slots outright —
+       meshed class can also exhaust its probeable slots outright —
        masked slots hold buddy-page bytes — though the headroom bound in
        the mesher keeps this to pathological sequences. *)
     t.stats.Stats.failed_mallocs <- t.stats.Stats.failed_mallocs + 1;
@@ -503,7 +589,8 @@ let malloc_small t site sz class_ =
     None
   end
   else begin
-    ensure_mapped t region;
+    (* a fixed class maps its one region on first use *)
+    ensure_mapped t cls.chain.(0);
     let size = Size_class.size class_ in
     (* Probe for a free slot, like probing into a hash table.  Because the
        region is at most 1/M full, the expected number of probes is
@@ -512,19 +599,24 @@ let malloc_small t site sz class_ =
        [meshed > 0] guard keeps an unmeshed heap's rng stream — and so
        its entire behavior — byte-identical to a meshless build. *)
     let rec probe n =
-      let index = Mwc.below t.rng region.capacity in
+      let index = Mwc.below t.rng cls.slots in
+      let region = locate cls index in
+      let local = index - region.first in
       if
-        Bitmap.get region.bitmap index
-        || (region.meshed > 0 && Bitmap.get region.masked index)
+        Bitmap.get region.bitmap local
+        || (region.meshed > 0 && Bitmap.get region.masked local)
       then probe (n + 1)
       else (index, n)
     in
     let index, probes = probe 1 in
+    let region = locate cls index in
+    let local = index - region.first in
     t.stats.Stats.probes <- t.stats.Stats.probes + probes;
-    Bitmap.set region.bitmap index;
+    Bitmap.set region.bitmap local;
     region.in_use <- region.in_use + 1;
+    cls.live <- cls.live + 1;
     if region.slots_per_page > 0 then begin
-      let page = index / region.slots_per_page in
+      let page = local / region.slots_per_page in
       region.page_live.(page) <- region.page_live.(page) + 1;
       if region.meshed > 0 then begin
         let q = region.buddy.(page) in
@@ -532,13 +624,13 @@ let malloc_small t site sz class_ =
           (* The new object's bytes live on the shared backing page: its
              mirror slot on the buddy page must stop being handed out. *)
           Bitmap.set region.masked
-            ((q * region.slots_per_page) + (index mod region.slots_per_page))
+            ((q * region.slots_per_page) + (local mod region.slots_per_page))
       end
     end;
-    let addr = region.base + (index * size) in
+    let addr = region.base + (local * size) in
     if t.config.Config.replicated then Mem.fill_random t.mem ~addr ~len:size t.rng;
     Stats.on_malloc t.stats ~requested:sz ~reserved:size;
-    observe_malloc t ~probes ~bytes:sz ~region ~index ~site;
+    observe_malloc t ~probes ~bytes:sz ~cls ~region ~index ~site;
     Some addr
   end
 
@@ -580,6 +672,8 @@ let free t addr =
         if Bitmap.get region.bitmap index then begin
           Bitmap.clear region.bitmap index;
           region.in_use <- region.in_use - 1;
+          let cls = t.classes.(region.class_) in
+          cls.live <- cls.live - 1;
           if region.slots_per_page > 0 then begin
             let page = index / region.slots_per_page in
             region.page_live.(page) <- region.page_live.(page) - 1;
@@ -632,7 +726,8 @@ let slot_of_addr t addr =
   match region_containing t addr with
   | None -> None
   | Some region ->
-    Some (region.class_, (addr - region.base) / Size_class.size region.class_)
+    let size = Size_class.size region.class_ in
+    Some (region.class_, region.first + ((addr - region.base) / size))
 
 let find_object t addr =
   match region_containing t addr with
@@ -660,7 +755,8 @@ let owns t addr =
 
 let allocator t =
   {
-    Allocator.name = "diehard";
+    Allocator.name =
+      (match t.config.Config.grow with None -> "diehard" | Some _ -> "diehard-adaptive");
     mem = t.mem;
     (* Eta-expanded so the optional site stays erasable: provenance
        crosses the record boundary ambiently (Audit.with_site). *)
@@ -673,28 +769,66 @@ let allocator t =
   }
 
 let region_base t ~class_ =
-  let region = t.regions.(class_) in
-  if region.base = 0 then None else Some region.base
+  match t.classes.(class_).chain with
+  | [||] -> None
+  | chain -> if chain.(0).base = 0 then None else Some chain.(0).base
 
-let region_capacity t ~class_ = t.regions.(class_).capacity
-let region_in_use t ~class_ = t.regions.(class_).in_use
+let region_capacity t ~class_ = t.classes.(class_).slots
+let region_in_use t ~class_ = t.classes.(class_).live
+let chain_length t ~class_ = mapped_regions t.classes.(class_)
 
 let region_fullness t ~class_ =
-  let region = t.regions.(class_) in
-  float_of_int region.in_use /. float_of_int region.capacity
+  let cls = t.classes.(class_) in
+  if cls.slots = 0 then 0. else float_of_int cls.live /. float_of_int cls.slots
+
+(* Test-only, and kept off the hot path: nothing in the heap calls it. *)
+let check_invariants t =
+  let fail class_ =
+    Printf.ksprintf (Printf.ksprintf failwith "Heap.check_invariants: class %d: %s" class_)
+  in
+  Array.iteri
+    (fun class_ cls ->
+      let slots = ref 0 and live = ref 0 in
+      Array.iter
+        (fun region ->
+          let set = Bitmap.cardinal region.bitmap in
+          if set <> region.in_use then
+            fail class_ "bitmap holds %d objects, in_use %d" set region.in_use;
+          let paged = Array.fold_left ( + ) 0 region.page_live in
+          if region.slots_per_page > 0 && paged <> region.in_use then
+            fail class_ "page_live sums to %d, in_use %d" paged region.in_use;
+          if not (Bitmap.disjoint region.bitmap region.masked) then
+            fail class_ "a masked slot is allocated";
+          slots := !slots + region.capacity;
+          live := !live + region.in_use)
+        cls.chain;
+      if !slots <> cls.slots || !live <> cls.live then
+        fail class_ "totals %d/%d, regions hold %d/%d" cls.live cls.slots !live !slots;
+      if Array.length cls.chain > 0 then begin
+        if cls.live > cls.limit then
+          fail class_ "%d live over threshold %d" cls.live cls.limit;
+        match t.config.Config.grow with
+        | Some h when cls.slots - cls.live < h ->
+          fail class_ "%d free slots under headroom %d" (cls.slots - cls.live) h
+        | Some _ | None -> ()
+      end)
+    t.classes
 
 let large_object_count t = Imap.cardinal t.large
 
 let pp_layout ?(width = 64) ppf t =
   let glyphs = [| '.'; ':'; '-'; '='; '+'; '*'; '%'; '#' |] in
-  Array.iter
-    (fun region ->
-      if region.base <> 0 then begin
+  Array.iteri
+    (fun class_ cls ->
+      if mapped_regions cls > 0 then begin
         let buckets = Array.make width 0 in
-        let per_bucket = max 1 (region.capacity / width) in
-        Bitmap.iter_set region.bitmap (fun slot ->
-            let b = min (width - 1) (slot / per_bucket) in
-            buckets.(b) <- buckets.(b) + 1);
+        let per_bucket = max 1 (cls.slots / width) in
+        Array.iter
+          (fun region ->
+            Bitmap.iter_set region.bitmap (fun slot ->
+                let b = min (width - 1) ((region.first + slot) / per_bucket) in
+                buckets.(b) <- buckets.(b) + 1))
+          cls.chain;
         let line =
           String.init width (fun b ->
               let density = float_of_int buckets.(b) /. float_of_int per_bucket in
@@ -709,11 +843,10 @@ let pp_layout ?(width = 64) ppf t =
               in
               glyphs.(level))
         in
-        Format.fprintf ppf "class %2d (%5dB) |%s| %d/%d@." region.class_
-          (Size_class.size region.class_)
-          line region.in_use region.capacity
+        Format.fprintf ppf "class %2d (%5dB) |%s| %d/%d@." class_ (Size_class.size class_)
+          line cls.live cls.slots
       end)
-    t.regions;
+    t.classes;
   if not (Imap.is_empty t.large) then begin
     Format.fprintf ppf "large objects:@.";
     Imap.iter

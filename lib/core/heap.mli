@@ -17,7 +17,14 @@
 
     In replicated mode ({!Config.t.replicated}) the region and every
     allocated object are filled with random values so that uninitialized
-    reads yield different results in every replica (§3.2). *)
+    reads yield different results in every replica (§3.2).
+
+    With {!Config.t.grow} set the heap is the paper's §9 adaptive DieHard:
+    a size class at its threshold maps one more region, twice the size of
+    its last, instead of returning NULL.  The class's chain of regions is
+    still one region in the sense above — uniform placement over its total
+    capacity, one [1/M] threshold — so everything below (meshing,
+    snapshots, audit, provenance) covers growable heaps too. *)
 
 type t
 
@@ -29,7 +36,7 @@ val config : t -> Config.t
 
 val malloc : t -> ?site:int -> int -> int option
 (** [malloc t sz] — [None] means NULL: the size class is at its [1/M]
-    threshold (or [sz <= 0]).  [site] is an interned
+    threshold (or [sz <= 0]); a growable heap grows instead.  [site] is an interned
     {!Dh_obs.Audit.site} id attributing the allocation for audit
     provenance; when omitted, the ambient
     {!Dh_obs.Audit.current_site} applies.  Sites never affect
@@ -101,17 +108,21 @@ val region_base : t -> class_:int -> int option
 (** Base address of a size-class region, if it has been mapped yet. *)
 
 val region_capacity : t -> class_:int -> int
-(** Slots in the region for [class_]. *)
+(** Slots in the region for [class_] (across its chain when growable). *)
 
 val region_in_use : t -> class_:int -> int
 (** Currently-allocated slots in the region for [class_]. *)
+
+val chain_length : t -> class_:int -> int
+(** Mapped regions in [class_]'s chain: at most 1 for a fixed heap. *)
 
 val region_fullness : t -> class_:int -> float
 (** [in_use / capacity] — the heap-fullness parameter of Theorem 1. *)
 
 val slot_of_addr : t -> int -> (int * int) option
 (** [(class, slot index)] of an address inside a mapped region, regardless
-    of allocation state. *)
+    of allocation state.  Slots are numbered across a growable class's
+    chain. *)
 
 val site_of_addr : t -> int -> int option
 (** Allocation-site id recorded for the slot or large object covering
@@ -121,6 +132,14 @@ val site_of_addr : t -> int -> int option
     off, or never allocated). *)
 
 val large_object_count : t -> int
+
+val check_invariants : t -> unit
+(** Check the heap's metadata against itself, for tests and debugging
+    (the heap never calls it).  Per region: bitmap cardinality = live
+    count = the per-page live counts' sum, and no masked slot is
+    allocated.  Per class: the totals match the chain, live objects stay
+    within the threshold, and a growable class keeps its free-slot
+    headroom.  Raises [Failure] naming the first violation. *)
 
 val rng : t -> Dh_rng.Mwc.t
 (** The heap's generator — exposed so experiments can record or perturb

@@ -265,6 +265,7 @@ let test_heap_restore_matches_untouched_twin () =
   List.iter (function Some p -> Diehard.Heap.free heap p | None -> ()) first;
   ignore (Mem.rewind mem);
   Diehard.Heap.restore heap snap;
+  Diehard.Heap.check_invariants heap;
   let twin_mem, twin_heap, twin_first = build () in
   ignore twin_mem;
   Alcotest.(check (list (option int)))

@@ -26,7 +26,7 @@ let () =
       ("mesh", Test_mesh.suite);
       ("workload", Test_workload.suite);
       ("extensions", Test_extensions.suite);
-      ("adaptive", Test_adaptive.suite);
+      ("adaptive", Test_grow.suite);
       ("tools", Test_tools.suite);
       ("hybrid", Test_hybrid.suite);
       ("replacement", Test_replacement.suite);

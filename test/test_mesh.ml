@@ -159,6 +159,7 @@ let test_heap_mesh_preserves_live_bytes () =
       (Array.to_list objs)
   in
   let meshed = Heap.mesh heap in
+  Heap.check_invariants heap;
   check "an explicit pass meshes a churned region" true (meshed > 0);
   check_int "heap.meshes accumulates" meshed (Heap.meshes heap);
   check_int "mem agrees on retired pages" meshed (Mem.meshed_pages mem);
@@ -171,6 +172,7 @@ let test_heap_mesh_preserves_live_bytes () =
      must avoid masked slots and leave survivors untouched. *)
   let fresh = List.init 256 (fun _ -> Option.get (Heap.malloc heap 64)) in
   List.iter (fun p -> Mem.fill mem ~addr:p ~len:64 '!') fresh;
+  Heap.check_invariants heap;
   check "survivors survive post-mesh allocation churn" true
     (List.for_all intact survivors);
   (* And freeing a survivor on a meshed page is still a valid free. *)
@@ -244,6 +246,7 @@ let prop_mesh_differential =
               live := List.filteri (fun j _ -> j <> i) l)
           | Mesh -> ignore (Heap.mesh heap_b))
         ops;
+      Heap.check_invariants heap_b;
       !ok
       && List.for_all
            (fun (a, b, sz, c) ->
