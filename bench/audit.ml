@@ -23,9 +23,9 @@
    through `~max_live_fraction:(1 / M)` so all four configs take the
    same code path.
 
-   The gate feeds the measured tallies through Dh_obs.Audit /
-   Dh_analysis.Margin — the same pipeline the CLI uses — and commits
-   the whole report as BENCH_audit.json. *)
+   The sweep feeds the measured tallies through Dh_obs.Audit /
+   Dh_analysis.Margin — the same pipeline the CLI uses; `gate` holds
+   every point to its tolerance. *)
 
 module Allocator = Dh_alloc.Allocator
 module Theorems = Dh_analysis.Theorems
@@ -172,7 +172,7 @@ let sweep ~quick () =
         })
       multipliers
   in
-  (rows, Option.get !margin, overflow_trials, dangling_trials)
+  (rows, Option.get !margin)
 
 let row_failures r =
   List.filter_map
@@ -220,67 +220,7 @@ let run ~quick () =
     "fullness; dangling = Theorem 2 (exact at k=1) over A=%d allocations; entropy ="
     dangling_allocations;
   Report.note "observed slot-choice randomness vs the uniform ideal";
-  let rows, margin, _, _ = sweep ~quick () in
+  let rows, margin = sweep ~quick () in
   print_rows rows;
   Report.subheading "Margin report at M=2 (what `diehard audit` prints live)";
   Format.printf "%a@?" Margin.pp margin
-
-(* --- machine-readable baseline + CI gate --- *)
-
-let write_json ~path ~quick rows margin ~overflow_trials ~dangling_trials =
-  let b = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"diehard-bench-audit/1\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add
-    "  \"config\": {\"heap_size\": %d, \"class\": %d, \"size\": %d, \
-     \"dangling_allocations\": %d, \"overflow_trials\": %d, \
-     \"dangling_trials\": %d, \"entropy_fills\": %d, \"sigmas\": %.1f, \
-     \"slack\": %.3f, \"entropy_floor\": %.2f},\n"
-    heap_size class_ size dangling_allocations overflow_trials dangling_trials
-    entropy_fills sigmas slack entropy_floor;
-  add "  \"sweep\": [\n";
-  List.iteri
-    (fun i r ->
-      let leg_json l =
-        Printf.sprintf
-          "{\"analytic\": %.6f, \"measured\": %.6f, \"sigma\": %.6f, \
-           \"tolerance\": %.6f, \"pass\": %b}"
-          l.analytic l.measured l.sigma l.tol l.ok
-      in
-      add
-        "    {\"multiplier\": %g, \"threshold\": %d, \"capacity\": %d,\n\
-        \     \"overflow\": %s,\n\
-        \     \"dangling\": %s,\n\
-        \     \"entropy\": {\"bits\": %.4f, \"ideal\": %.4f, \"ratio\": %.4f, \
-         \"samples\": %d, \"pass\": %b}}%s\n"
-        r.m r.threshold r.capacity (leg_json r.overflow) (leg_json r.dangling)
-        r.entropy_bits entropy_ideal r.entropy_ratio r.entropy_samples r.entropy_ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"uninit\": {\"bits\": 32, \"detect_k3\": %.6f},\n"
-    (Theorems.uninit_detect_probability ~bits:32 ~replicas:3);
-  add "  \"margin\": %s,\n" (Margin.to_json margin);
-  add "  \"pass\": %b\n" (List.for_all (fun r -> row_failures r = []) rows);
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let gate ~quick ?(out = "BENCH_audit.json") () =
-  Report.heading "Audit gate: empirical masking must track the analytic curve";
-  let rows, margin, overflow_trials, dangling_trials = sweep ~quick () in
-  print_rows rows;
-  write_json ~path:out ~quick rows margin ~overflow_trials ~dangling_trials;
-  let failures = List.concat_map row_failures rows in
-  if failures <> [] then begin
-    List.iter (fun f -> Printf.printf "audit gate FAIL: %s\n" f) failures;
-    exit 3
-  end;
-  Printf.printf
-    "audit gate ok: %d M-points, overflow within %.1f sigma + %.2f, dangling exact \
-     model holds, entropy >= %.0f%% of ideal\n%!"
-    (List.length rows) sigmas slack (100. *. entropy_floor)

@@ -4,9 +4,10 @@
 
      dune exec bench/main.exe            # everything, full settings
      dune exec bench/main.exe -- quick   # everything, reduced trials
-     dune exec bench/main.exe -- fig4a fig5a table1 ...   # any subset *)
+     dune exec bench/main.exe -- fig4a fig5a table1 ...   # any subset
+     dune exec bench/main.exe -- gate [quick] [--trace PATH]  # the gates *)
 
-let experiments ~quick =
+let experiments ~quick ~trace =
   [
     ( "fig4a",
       fun () ->
@@ -29,26 +30,26 @@ let experiments ~quick =
     ("replicas", fun () -> Replicas.run ~quick ());
     ("probes", fun () -> Probes.run ~quick ());
     ("space", fun () -> Space.run ~quick ());
-    ("space-gate", fun () -> Space.gate ~quick ());
     ("serve", fun () -> Serve.run ~quick ());
-    ("serve-gate", fun () -> Serve.gate ~quick ());
     ("ablate", fun () -> Ablate.run ~quick ());
     ("audit", fun () -> Audit.run ~quick ());
-    ("audit-gate", fun () -> Audit.gate ~quick ());
+    ("gate", fun () -> Gate.run ~quick ~trace ());
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
+  let rec split_trace = function
+    | "--trace" :: path :: rest -> (Some path, rest)
+    | a :: rest -> let t, rest = split_trace rest in (t, a :: rest)
+    | [] -> (None, [])
+  in
+  let trace, args = split_trace (List.tl (Array.to_list Sys.argv)) in
   let quick = List.mem "quick" args in
   if List.mem "csv" args then Report.format := Report.Csv;
   let selected = List.filter (fun a -> a <> "quick" && a <> "csv") args in
-  let experiments = experiments ~quick in
+  let experiments = experiments ~quick ~trace in
   let to_run =
-    (* Gates can exit non-zero; they only run when named explicitly. *)
-    if selected = [] then
-      List.filter
-        (fun (n, _) -> n <> "space-gate" && n <> "serve-gate" && n <> "audit-gate")
-        experiments
+    (* The gate can exit non-zero; it only runs when named explicitly. *)
+    if selected = [] then List.filter (fun (n, _) -> n <> "gate") experiments
     else
       List.filter_map
         (fun name ->

@@ -138,68 +138,3 @@ let run ~quick () =
     "expected shape: DieHard rounds up (<= 2x), maps M x 12 regions lazily, and";
   Report.note "touches many more pages (the paper's TLB/RSS discussion, esp. twolf)";
   mesh_section (mesh_frontier ~quick ())
-
-(* --- machine-readable baseline + CI gate ---
-
-   `bench-space` writes BENCH_space.json and fails when meshing stops
-   reducing the resident set: at least one section-4.5 workload must
-   shrink its touched-page count by [required_ratio].  Pair meshing
-   caps a single workload at exactly 2x, which full-mode cfrac and
-   espresso reach; quick mode's truncated runs land just short, so the
-   smoke bar is lower — it gates "meshing still pays", not the
-   frontier.  A quick-mode run that found no mesh candidates at all
-   skips loudly instead of gating on noise. *)
-
-let required_ratio ~quick = if quick then 1.5 else 2.0
-
-let write_json ~path ~quick rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"diehard-bench-space/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string b
-    (Printf.sprintf "  \"required_ratio\": %.2f,\n" (required_ratio ~quick));
-  Buffer.add_string b "  \"profiles\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"touched_off\": %d, \"touched_on\": %d, \
-            \"ratio\": %.3f, \"mapped_off\": %d, \"mapped_on\": %d, \
-            \"meshes\": %d}%s\n"
-           r.mr_profile r.touched_off r.touched_on (mesh_ratio r) r.mapped_off
-           r.mapped_on r.meshes
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  let best = List.fold_left (fun acc r -> Float.max acc (mesh_ratio r)) 1.0 rows in
-  Buffer.add_string b (Printf.sprintf "  \"best_ratio\": %.3f\n" best);
-  Buffer.add_string b "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let gate ~quick ?(out = "BENCH_space.json") () =
-  Report.heading "Space gate: meshing must keep paying for itself";
-  let rows = mesh_frontier ~quick () in
-  mesh_section rows;
-  write_json ~path:out ~quick rows;
-  let total_meshes = List.fold_left (fun acc r -> acc + r.meshes) 0 rows in
-  let best = List.fold_left (fun acc r -> Float.max acc (mesh_ratio r)) 1.0 rows in
-  let required = required_ratio ~quick in
-  if total_meshes = 0 && quick then
-    (* Quick mode shrinks the workloads; an empty candidate set is noise,
-       not a regression — but say so unmissably. *)
-    print_endline
-      "SPACE GATE SKIPPED: no mesh candidates found in quick mode (not a failure)"
-  else if best < required then begin
-    Printf.eprintf
-      "SPACE GATE FAILED: best touched-page reduction %.2fx < required %.2fx\n%!"
-      best required;
-    exit 3
-  end
-  else
-    Printf.printf
-      "space gate ok: best touched-page reduction %.2fx (>= %.2fx) across %d meshes\n%!"
-      best required total_meshes

@@ -92,6 +92,54 @@ let test_read_matches_bytewise () =
   check "same deltas" true (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
   check_string "same bytes" (Bytes.to_string buf) got
 
+(* Ranges past the simulated cache (1024 lines = 64 KiB) and TLB
+   (64 pages = 256 KiB): evictions inside one bulk operation must be
+   charged exactly as the bytewise loop charges them. *)
+let test_large_fill_matches_bytewise () =
+  let len = 256 * 1024 in
+  let m1 = Mem.create () and m2 = Mem.create () in
+  let a1 = Mem.mmap m1 len and a2 = Mem.mmap m2 len in
+  let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
+  Mem.fill m1 ~addr:a1 ~len 'Q';
+  for i = 0 to len - 1 do
+    Mem.write8 m2 (a2 + i) (Char.code 'Q')
+  done;
+  check "same read/write/tlb/cache deltas" true
+    (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
+  check_int "same touched pages" (Mem.touched_pages m2) (Mem.touched_pages m1);
+  check_string "same contents"
+    (Mem.read_bytes m2 ~addr:a2 ~len)
+    (Mem.read_bytes m1 ~addr:a1 ~len)
+
+(* One bulk read then one bulk write, against the bytewise reference
+   that mirrors it: every read first, then every write.  (A per-byte
+   interleaved memcpy is a different access sequence and may miss
+   differently once the range exceeds the cache.) *)
+let test_large_copy_matches_bytewise () =
+  List.iter
+    (fun len ->
+      let m1 = Mem.create () and m2 = Mem.create () in
+      let src1 = Mem.mmap m1 len and src2 = Mem.mmap m2 len in
+      let dst1 = Mem.mmap m1 len and dst2 = Mem.mmap m2 len in
+      Mem.fill_random m1 ~addr:src1 ~len (Dh_rng.Mwc.create ~seed:7);
+      Mem.fill_random m2 ~addr:src2 ~len (Dh_rng.Mwc.create ~seed:7);
+      let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
+      Mem.write_bytes m1 ~addr:dst1 (Mem.read_bytes m1 ~addr:src1 ~len);
+      let tmp = Bytes.create len in
+      for i = 0 to len - 1 do
+        Bytes.set tmp i (Char.chr (Mem.read8 m2 (src2 + i)))
+      done;
+      for i = 0 to len - 1 do
+        Mem.write8 m2 (dst2 + i) (Char.code (Bytes.get tmp i))
+      done;
+      check "same read/write/tlb/cache deltas" true
+        (delta s1 (Mem.stats m1) = delta s2 (Mem.stats m2));
+      check_int "same touched pages" (Mem.touched_pages m2) (Mem.touched_pages m1);
+      check_string "same copied bytes"
+        (Mem.read_bytes m2 ~addr:dst2 ~len)
+        (Mem.read_bytes m1 ~addr:dst1 ~len))
+    [ 64 * 1024; 256 * 1024 ]
+
 (* Satellite: miss accounting must depend only on the pages/lines an
    access spans, never on the code path that performs it. *)
 let test_word_miss_accounting_invariant () =
@@ -478,6 +526,10 @@ let suite =
     Alcotest.test_case "bulk op counts" `Quick test_bulk_op_counts;
     Alcotest.test_case "fill matches bytewise" `Quick test_fill_matches_bytewise;
     Alcotest.test_case "read matches bytewise" `Quick test_read_matches_bytewise;
+    Alcotest.test_case "256 KiB fill matches bytewise" `Quick
+      test_large_fill_matches_bytewise;
+    Alcotest.test_case "64/256 KiB copy matches bytewise" `Quick
+      test_large_copy_matches_bytewise;
     Alcotest.test_case "word miss accounting invariant" `Quick
       test_word_miss_accounting_invariant;
     Alcotest.test_case "write64 not torn at segment end" `Quick
