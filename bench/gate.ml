@@ -190,15 +190,19 @@ let obs_leg ~quick ~trace =
     r ~unit_:"records/op" "obs.on.records_per_op" on_records (Le, Baseline);
   ]
 
-(* --- mem: the write path with and without an armed checkpoint --- *)
+(* --- mem: the scalar access path's allocation, as counts --- *)
 
 (* One 64-bit write per cache line of every page, [reps] times.  Unarmed,
-   dirty tracking must cost no pre-image and no more allocation than the
-   baseline (2 words a write today: [Mem.find_segment] boxes its result);
-   armed, each re-arm pre-images every page once. *)
+   dirty tracking must cost no pre-image and allocate nothing; armed,
+   each re-arm pre-images every page once and allocates only its undo
+   log.  The read leg (read8 and read64 at every line) and the switching
+   leg (write64 alternating between two segments, so every access misses
+   the segment cache) must allocate nothing either. *)
 let writes_leg ~quick =
   let pages = if quick then 64 else 256 and reps = if quick then 60 else 200 in
-  let writes = reps * pages * 64 in
+  let lines = pages * 64 in
+  let writes = reps * lines in
+  let per_write x = x /. float_of_int writes in
   let churn ~armed =
     let mem = Mem.create () in
     let a = Mem.mmap mem (pages * 4096) in
@@ -206,22 +210,46 @@ let writes_leg ~quick =
       minor_words (fun () ->
           for _ = 1 to reps do
             if armed then Mem.checkpoint mem;
-            for w = 0 to (pages * 64) - 1 do
+            for w = 0 to lines - 1 do
               Mem.write64 mem (a + (w * 64)) w
             done
           done)
     in
-    let per_write x = x /. float_of_int writes in
     (per_write words, per_write (float_of_int (Mem.preimaged_pages mem)))
   in
   let plain_words, plain_pre = churn ~armed:false in
   let armed_words, armed_pre = churn ~armed:true in
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (pages * 4096) and b = Mem.mmap mem (pages * 4096) in
+  let sink = ref 0 in
+  let read_words =
+    minor_words (fun () ->
+        for _ = 1 to reps do
+          for w = 0 to lines - 1 do
+            sink := !sink + Mem.read8 mem (a + (w * 64)) + Mem.read64 mem (a + (w * 64) + 8)
+          done
+        done)
+  in
+  let switch_words =
+    minor_words (fun () ->
+        for _ = 1 to reps do
+          for w = 0 to lines - 1 do
+            Mem.write64 mem ((if w land 1 = 0 then a else b) + (w * 64)) w
+          done
+        done)
+  in
+  ignore (Sys.opaque_identity !sink);
   let r = record ~layer:"mem" ~kind:Count in
   [
     r ~unit_:"preimages/write" "mem.unarmed.preimages_per_write" plain_pre (Eq, Const 0.);
-    r ~unit_:"words/write" "mem.unarmed.minor_words_per_write" plain_words (Le, Baseline);
+    r ~unit_:"words/write" "mem.unarmed.minor_words_per_write" plain_words (Eq, Const 0.);
     r ~unit_:"preimages/write" "mem.armed.preimages_per_write" armed_pre (Le, Baseline);
     r ~unit_:"words/write" "mem.armed.minor_words_per_write" armed_words (Le, Baseline);
+    r ~unit_:"words/read" "mem.read.minor_words_per_read"
+      (read_words /. float_of_int (2 * writes))
+      (Eq, Const 0.);
+    r ~unit_:"words/write" "mem.switch.minor_words_per_write" (per_write switch_words)
+      (Eq, Const 0.);
   ]
 
 (* --- supervisor: rewind recovery vs from-scratch retry --- *)
@@ -329,6 +357,8 @@ let serve_leg ~quick =
     r ~unit_:"checksum" "serve.checksum" l.checksum (Eq, Baseline);
     r ~unit_:"requests" "serve.failed" l.failed (Eq, Baseline);
     r ~unit_:"rewinds" "serve.rewinds" l.rewinds (Eq, Baseline);
+    (* The leg must drive the serve loop through the rewind rung. *)
+    r ~unit_:"rewinds" "serve.rewound" l.rewinds (Ge, Const 1.);
     r ~unit_:"bool" "serve.survived_randomized" (Bool.to_int l.survived_randomized)
       (Eq, Const 1.);
     r ~unit_:"seeds" "serve.sweep_survived" survived (Eq, Const (float_of_int seeds));

@@ -18,16 +18,18 @@ module Supervisor = Diehard.Supervisor
 module Server = Dh_workload.Server
 module Process = Dh_mem.Process
 
-(* Leg geometry.  The full leg is the "millions" run; quick is sized
-   for CI smoke.  Attacks arrive on a prime stride so they drift
-   across checkpoint windows instead of beating against them. *)
+(* Leg geometry.  The full leg is the "millions" run; quick is a tenth
+   of it, long enough that the seed-1 leg takes the rewind rung (5
+   rewinds; at 20,000 to 100,000 requests no attack faults).  Attacks
+   arrive on a prime stride so they drift across checkpoint windows
+   instead of beating against them. *)
 let zipf_s = 1.1
 let attack_stride = 997
 let checkpoint_interval = 512
 let max_rewinds = 4096
 let fuel = 200_000_000
 
-let leg_requests ~quick = if quick then 20_000 else 2_000_000
+let leg_requests ~quick = if quick then 200_000 else 2_000_000
 let sweep_seeds ~quick = if quick then 4 else 8
 let sweep_requests ~quick = leg_requests ~quick / 10
 

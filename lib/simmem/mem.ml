@@ -4,33 +4,56 @@ let page_size = 4096
 let page_shift = 12
 let word_size = 8
 
+(* --- the page-state word ---
+
+   A segment keeps one [int] per page: bits 0-1 are the protection of
+   VIRTUAL page i (readable, writable), bit 2 whether PHYSICAL page i was
+   ever written, and bits 3.. the checkpoint epoch in which physical page
+   i was last dirtied (0 = never).  "Dirty now" means that epoch equals
+   [t.epoch]; arming or rewinding a checkpoint bumps [t.epoch], cleaning
+   the whole space in O(1).  In a never-meshed segment virtual page i is
+   physical page i, so a store to a page already dirtied this epoch is
+   the one compare [word = hot t]; a meshed segment combines its virtual
+   page's protection with its physical page's touched and epoch fields. *)
+
+let readable = 1
+let writable = 2
+let prot_bits = readable lor writable
+let touched_bit = 4
+let epoch_shift = 3
+let prot_code = function No_access -> 0 | Read_only -> readable | Read_write -> prot_bits
+let access_bit = function Fault.Read -> readable | Fault.Write -> writable
+let dirtied w = w lsr epoch_shift
+
 type segment = {
   base : int;
   len : int;  (* page-rounded *)
   data : Bytes.t;
-  prot : prot array;  (* one entry per VIRTUAL page *)
+  state : int array;  (* one page-state word per page *)
   phys : int array;
       (* virtual page -> physical page (an index into [data]'s pages).
          Identity until {!alias} meshes two virtual pages onto one
-         backing page; [prot] stays virtual (two meshed pages may be
-         protected independently) while [touched]/[dirty_epoch] and all
-         byte storage are physical. *)
+         backing page. *)
   refcnt : int array;
       (* physical page -> number of virtual pages it backs; 0 = retired
          by a mesh (its bytes are kept so a rewind can resurrect it). *)
   mutable meshes : int;  (* retired physical pages in this segment *)
   mutable aliased : bool;  (* false = [phys] is identity (fast paths) *)
-  touched : bool array;  (* PHYSICAL pages written at least once *)
-  dirty_epoch : int array;
-      (* per PHYSICAL page: the checkpoint epoch in which it was last
-         dirtied.  "Dirty now" means [dirty_epoch.(p) = t.epoch]; arming
-         or rewinding a checkpoint bumps [t.epoch], so the whole space is
-         cleaned in O(1) with no per-page sweep. *)
   born_epoch : int;
       (* epoch at mmap time: a segment with [born_epoch = t.epoch] was
          mapped after the active checkpoint and is discarded wholesale on
          rewind (no pre-images are kept for it). *)
 }
+
+(* The empty segment contains no address: it is "no segment" in the
+   lookup cache, in the index's spare slots and as [find]'s miss. *)
+let none =
+  { base = 0; len = 0; data = Bytes.empty; state = [||]; phys = [||]; refcnt = [||];
+    meshes = 0; aliased = false; born_epoch = -1 }
+
+(* Whether the [n] bytes at segment offset [off] lie inside [seg], in one
+   branch. *)
+let fits seg off n = off lor (seg.len - n - off) >= 0
 
 (* Translate a segment-relative byte offset through the physical-page
    indirection.  Identity for never-meshed segments, and the [aliased]
@@ -40,8 +63,6 @@ let phys_off seg off =
     (Array.unsafe_get seg.phys (off lsr page_shift) lsl page_shift)
     lor (off land (page_size - 1))
   else off
-
-module Imap = Map.Make (Int)
 
 type stats = {
   reads : int;
@@ -94,13 +115,14 @@ let cache_line_shift = 6
 
 type ckpt = {
   mutable pre : (segment * int * Bytes.t) list;
-      (* (segment, page, pre-image), newest first *)
+      (* (segment, physical page, pre-image), newest first *)
   mutable pre_count : int;
   mutable born : int list;  (* bases of segments mapped since arming *)
   mutable gone : segment list;  (* segments unmapped since arming *)
-  mutable prot_log : (segment * int * prot) list;
-      (* protection pre-states, newest first: replaying the whole list in
-         order ends on the oldest (arm-time) value for every page *)
+  mutable prot_log : (segment * int * int) list;
+      (* (segment, page, protection bits) pre-states, newest first:
+         replaying the whole list in order ends on the oldest (arm-time)
+         value for every page *)
   mutable mesh_log : (segment * int * int) list;
       (* (segment, virtual page, previous physical page), newest first:
          meshes performed inside the window, undone on rewind *)
@@ -108,24 +130,43 @@ type ckpt = {
 }
 
 type t = {
-  mutable segments : segment Imap.t;  (* keyed by base *)
+  mutable segs : segment array;  (* live segments by base; [none] from [nsegs] *)
+  mutable nsegs : int;
   mutable next_base : int;
-  mutable cache : segment option;  (* last segment hit *)
+  mutable cache : segment;  (* last never-meshed segment found, or [none] *)
   mutable reads : int;
   mutable writes : int;
   mutable mmaps : int;
   mutable munmaps : int;
   mutable touched_pages : int;
+  mutable touched_unmapped : int;  (* of those, pages of unmapped segments *)
   tlb : int array;  (* direct-mapped page tags; -1 = empty *)
   mutable tlb_misses : int;
   dcache : int array;  (* direct-mapped line tags; -1 = empty *)
   mutable cache_misses : int;
   mutable ckpt : ckpt option;  (* the armed checkpoint, if any *)
-  mutable epoch : int;
-      (* current dirty epoch; bumped by checkpoint/rewind/discard *)
+  mutable epoch : int;  (* current dirty epoch, from 1 *)
   mutable dirty : int;  (* pages dirtied in the current epoch *)
   mutable preimaged : int;  (* cumulative pages pre-imaged (COW copies) *)
 }
+
+(* The word of a writable page dirtied this epoch: a store to it needs
+   no bookkeeping. *)
+let hot t = (t.epoch lsl epoch_shift) lor touched_bit lor prot_bits
+
+let fold_segments f t acc =
+  let acc = ref acc in
+  for i = 0 to t.nsegs - 1 do
+    acc := f t.segs.(i) !acc
+  done;
+  !acc
+
+let mapped_bytes t =
+  (* Meshed pages count once: each alias retires one physical page, so the
+     resident-set proxy shrinks even though the virtual extent is fixed. *)
+  fold_segments (fun seg acc -> acc + seg.len - (seg.meshes * page_size)) t 0
+
+let meshed_pages t = fold_segments (fun seg acc -> acc + seg.meshes) t 0
 
 (* TLB/cache accounting publishes through the metrics registry as
    callback gauges: zero cost on the access hot paths, and the dump
@@ -142,30 +183,28 @@ let publish_metrics t =
   g "touched_pages" (fun () -> t.touched_pages);
   g "dirty_pages" (fun () -> t.dirty);
   g "preimaged_pages" (fun () -> t.preimaged);
-  g "meshed_pages" (fun () ->
-      Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0);
-  g "mapped_bytes" (fun () ->
-      Imap.fold
-        (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
-        t.segments 0)
+  g "meshed_pages" (fun () -> meshed_pages t);
+  g "mapped_bytes" (fun () -> mapped_bytes t)
 
 let create () =
   let t =
   {
-    segments = Imap.empty;
+    segs = Array.make 8 none;
+    nsegs = 0;
     next_base = 16 * page_size;  (* keep a NULL-guard zone at the bottom *)
-    cache = None;
+    cache = none;
     reads = 0;
     writes = 0;
     mmaps = 0;
     munmaps = 0;
     touched_pages = 0;
+    touched_unmapped = 0;
     tlb = Array.make tlb_entries (-1);
     tlb_misses = 0;
     dcache = Array.make cache_lines (-1);
     cache_misses = 0;
     ckpt = None;
-    epoch = 0;
+    epoch = 1;
     dirty = 0;
     preimaged = 0;
   }
@@ -184,28 +223,86 @@ let create () =
 
 let touch_page t page =
   let slot = page land (tlb_entries - 1) in
-  if t.tlb.(slot) <> page then begin
-    t.tlb.(slot) <- page;
+  if Array.unsafe_get t.tlb slot <> page then begin
+    Array.unsafe_set t.tlb slot page;
     t.tlb_misses <- t.tlb_misses + 1
   end
 
 let touch_line t line =
   let slot = line land (cache_lines - 1) in
-  if t.dcache.(slot) <> line then begin
-    t.dcache.(slot) <- line;
+  if Array.unsafe_get t.dcache slot <> line then begin
+    Array.unsafe_set t.dcache slot line;
     t.cache_misses <- t.cache_misses + 1
   end
 
 (* Charge the TLB and cache for a one-byte access at [addr]. *)
-let charge_byte t addr =
+let[@inline] charge_byte t addr =
   touch_page t (addr lsr page_shift);
   touch_line t (addr lsr cache_line_shift)
+
+(* Charge a word at [addr]: its first byte, then the page and line of its
+   last byte where they differ (a page crossing is a line crossing). *)
+let[@inline] charge_word t addr =
+  charge_byte t addr;
+  let last = addr + word_size - 1 in
+  if last lsr cache_line_shift <> addr lsr cache_line_shift then begin
+    if last lsr page_shift <> addr lsr page_shift then touch_page t (last lsr page_shift);
+    touch_line t (last lsr cache_line_shift)
+  end
 
 (* Charge every cache line overlapping the inclusive range [first, last]. *)
 let charge_lines t ~first ~last =
   for line = first lsr cache_line_shift to last lsr cache_line_shift do
     touch_line t line
   done
+
+(* --- the segment index ---
+
+   The live segments in an array sorted by base, binary-searched when the
+   one-entry cache misses: host memory is O(live segments) however many
+   pages were ever mapped, and no lookup allocates. *)
+
+(* The index of the last live segment whose base is <= [addr], or -1. *)
+let rec search segs addr lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) lsr 1 in
+    if (Array.unsafe_get segs mid).base <= addr then search segs addr (mid + 1) hi
+    else search segs addr lo mid
+
+let index_of_base t base =
+  let i = search t.segs base 0 t.nsegs in
+  if i >= 0 && t.segs.(i).base = base then i else -1
+
+let insert t seg =
+  if t.nsegs = Array.length t.segs then
+    t.segs <- Array.append t.segs (Array.make t.nsegs none);
+  let i = search t.segs seg.base 0 t.nsegs + 1 in
+  Array.blit t.segs i t.segs (i + 1) (t.nsegs - i);
+  t.segs.(i) <- seg;
+  t.nsegs <- t.nsegs + 1
+
+let remove t i =
+  Array.blit t.segs (i + 1) t.segs i (t.nsegs - i - 1);
+  t.nsegs <- t.nsegs - 1;
+  t.segs.(t.nsegs) <- none
+
+(* The live segment containing [addr], or [none].  Only never-meshed
+   segments are cached: the scalar fast paths index [data] untranslated. *)
+let find t addr =
+  let c = t.cache in
+  if fits c (addr - c.base) 1 then c
+  else
+    let i = search t.segs addr 0 t.nsegs in
+    let seg = if i < 0 then none else t.segs.(i) in
+    if not (fits seg (addr - seg.base) 1) then none
+    else begin
+      if not seg.aliased then t.cache <- seg;
+      seg
+    end
+
+let touched_in seg =
+  Array.fold_left (fun n w -> if w land touched_bit <> 0 then n + 1 else n) 0 seg.state
 
 let round_pages len = (len + page_size - 1) / page_size * page_size
 
@@ -217,52 +314,27 @@ let mmap t ?(prot = Read_write) len =
      end of a mapping fault instead of silently landing in the next one. *)
   t.next_base <- base + len + page_size;
   let pages = len / page_size in
-  let seg =
+  insert t
     {
       base;
       len;
       data = Bytes.make len '\000';
-      prot = Array.make pages prot;
+      state = Array.make pages (prot_code prot);
       phys = Array.init pages (fun p -> p);
       refcnt = Array.make pages 1;
       meshes = 0;
       aliased = false;
-      touched = Array.make pages false;
-      (* -1 never equals a live epoch: fresh pages start clean. *)
-      dirty_epoch = Array.make pages (-1);
       born_epoch = t.epoch;
-    }
-  in
-  t.segments <- Imap.add base seg t.segments;
+    };
   t.mmaps <- t.mmaps + 1;
   (match t.ckpt with Some c -> c.born <- base :: c.born | None -> ());
   base
 
-let find_segment t addr =
-  match t.cache with
-  | Some seg when addr >= seg.base && addr < seg.base + seg.len -> Some seg
-  | Some _ | None -> (
-    match Imap.find_last_opt (fun base -> base <= addr) t.segments with
-    | Some (_, seg) when addr < seg.base + seg.len ->
-      t.cache <- Some seg;
-      Some seg
-    | Some _ | None -> None)
-
 let segment_of t addr =
-  match find_segment t addr with
-  | Some seg -> Some (seg.base, seg.len)
-  | None -> None
+  let seg = find t addr in
+  if seg == none then None else Some (seg.base, seg.len)
 
-let is_mapped t addr = Option.is_some (find_segment t addr)
-
-let mapped_bytes t =
-  (* Meshed pages count once: each alias retires one physical page, so the
-     resident-set proxy shrinks even though the virtual extent is fixed. *)
-  Imap.fold
-    (fun _ seg acc -> acc + seg.len - (seg.meshes * page_size))
-    t.segments 0
-
-let meshed_pages t = Imap.fold (fun _ seg acc -> acc + seg.meshes) t.segments 0
+let is_mapped t addr = find t addr != none
 
 (* --- flight-recorder hook ---
 
@@ -282,21 +354,21 @@ let fault_addr_of = function
    store: no protection checks, no cost-model charging — the recorder
    must not perturb what it observes. *)
 let neighborhood t center =
-  match find_segment t center with
-  | None ->
+  let seg = find t center in
+  if seg == none then
     let nearest =
-      Imap.fold
-        (fun base seg acc ->
-          let d = min (abs (center - base)) (abs (center - (base + seg.len))) in
+      fold_segments
+        (fun seg acc ->
+          let d = min (abs (center - seg.base)) (abs (center - (seg.base + seg.len))) in
           match acc with Some (best, _) when best <= d -> acc | _ -> Some (d, seg))
-        t.segments None
+        t None
     in
-    (match nearest with
+    match nearest with
     | None -> Printf.sprintf "0x%x is unmapped (no segments mapped)" center
     | Some (_, seg) ->
       Printf.sprintf "0x%x is unmapped; nearest segment [0x%x, 0x%x) (%d bytes)"
-        center seg.base (seg.base + seg.len) seg.len)
-  | Some seg ->
+        center seg.base (seg.base + seg.len) seg.len
+  else
     let lo = max seg.base (center - 64) in
     let hi = min (seg.base + seg.len) (center + 64) in
     let b = Buffer.create 512 in
@@ -365,55 +437,46 @@ let raise_fault t f =
   Fault.raise_fault f
 
 let munmap t base =
-  match Imap.find_opt base t.segments with
-  | None -> raise_fault t (Fault.Unmap_unmapped { addr = base })
-  | Some seg ->
-    t.segments <- Imap.remove base t.segments;
-    t.munmaps <- t.munmaps + 1;
-    (match t.ckpt with
-    | Some c ->
-      if List.mem base c.born then
-        (* Born and gone entirely inside the window: rewind need not know. *)
-        c.born <- List.filter (fun b -> b <> base) c.born
-      else c.gone <- seg :: c.gone
-    | None -> ());
-    (match t.cache with
-    | Some c when c.base = seg.base -> t.cache <- None
-    | Some _ | None -> ())
+  let i = index_of_base t base in
+  if i < 0 then raise_fault t (Fault.Unmap_unmapped { addr = base });
+  let seg = t.segs.(i) in
+  remove t i;
+  if t.cache == seg then t.cache <- none;
+  t.munmaps <- t.munmaps + 1;
+  t.touched_unmapped <- t.touched_unmapped + touched_in seg;
+  match t.ckpt with
+  | Some c ->
+    if List.mem base c.born then
+      (* Born and gone entirely inside the window: rewind need not know. *)
+      c.born <- List.filter (fun b -> b <> base) c.born
+    else c.gone <- seg :: c.gone
+  | None -> ()
+
+let set_prot seg p code = seg.state.(p) <- seg.state.(p) land lnot prot_bits lor code
 
 let protect t ~addr ~len prot =
   if len <= 0 then invalid_arg "Mem.protect: length must be positive";
-  match find_segment t addr with
-  | None -> raise_fault t (Fault.Protect_unmapped { addr; len; fault_addr = addr })
-  | Some seg ->
-    if addr + len > seg.base + seg.len then
-      raise_fault t
-        (Fault.Protect_unmapped { addr; len; fault_addr = seg.base + seg.len });
-    let first = (addr - seg.base) / page_size in
-    let last = (addr + len - 1 - seg.base) / page_size in
-    for p = first to last do
-      (match t.ckpt with
-      | Some c when seg.born_epoch <> t.epoch && seg.prot.(p) <> prot ->
-        c.prot_log <- (seg, p, seg.prot.(p)) :: c.prot_log
-      | Some _ | None -> ());
-      seg.prot.(p) <- prot
-    done
-
-let prot_allows prot access =
-  match (prot, access) with
-  | Read_write, _ | Read_only, Fault.Read -> true
-  | No_access, _ | Read_only, Fault.Write -> false
+  let seg = find t addr in
+  if seg == none then raise_fault t (Fault.Protect_unmapped { addr; len; fault_addr = addr });
+  if addr + len > seg.base + seg.len then
+    raise_fault t (Fault.Protect_unmapped { addr; len; fault_addr = seg.base + seg.len });
+  let code = prot_code prot in
+  for p = (addr - seg.base) / page_size to (addr + len - 1 - seg.base) / page_size do
+    let old = seg.state.(p) land prot_bits in
+    (match t.ckpt with
+    | Some c when seg.born_epoch <> t.epoch && old <> code ->
+      c.prot_log <- (seg, p, old) :: c.prot_log
+    | Some _ | None -> ());
+    set_prot seg p code
+  done
 
 (* [page] is a PHYSICAL page index: both the written-page proxy and the
    checkpoint pre-images live at the physical level, so two meshed virtual
    pages cost (and pre-image) their shared backing page exactly once. *)
 let mark_touched_phys t seg page =
-  if not seg.touched.(page) then begin
-    seg.touched.(page) <- true;
-    t.touched_pages <- t.touched_pages + 1
-  end;
-  if seg.dirty_epoch.(page) <> t.epoch then begin
-    seg.dirty_epoch.(page) <- t.epoch;
+  let w = seg.state.(page) in
+  if w land touched_bit = 0 then t.touched_pages <- t.touched_pages + 1;
+  if dirtied w <> t.epoch then begin
     t.dirty <- t.dirty + 1;
     match t.ckpt with
     | Some c when seg.born_epoch <> t.epoch ->
@@ -425,35 +488,138 @@ let mark_touched_phys t seg page =
       c.pre_count <- c.pre_count + 1;
       t.preimaged <- t.preimaged + 1
     | Some _ | None -> ()
-  end
+  end;
+  seg.state.(page) <- (t.epoch lsl epoch_shift) lor touched_bit lor (w land prot_bits)
 
-let mark_touched t seg vpage =
-  mark_touched_phys t seg (Array.unsafe_get seg.phys vpage)
+let mark_touched t seg vpage = mark_touched_phys t seg (Array.unsafe_get seg.phys vpage)
 
-(* Per-byte access check.  Returns the segment so callers can then touch
-   the backing bytes directly. *)
-let check t addr access =
+(* --- scalar access ---
+
+   Fast path: the access lies in the cached segment (never meshed, so
+   [data] is indexed untranslated) and its page-state word already allows
+   it — for a store, the word is [hot t].  That is one containment test
+   and one compare before the TLB/cache charge and the blit, and nothing
+   allocates.  Everything else — another segment, a first store to a page
+   this epoch, a fault, a meshed segment — takes [scalar_check]. *)
+
+(* Charge [addr], the first byte an access touches on page [p] of [seg],
+   and fault there if the page forbids the access. *)
+let enter_page t seg p addr access =
   charge_byte t addr;
-  match find_segment t addr with
-  | None -> raise_fault t (Fault.Unmapped { addr; access })
-  | Some seg ->
-    let page = (addr - seg.base) lsr page_shift in
-    if not (prot_allows seg.prot.(page) access) then
-      raise_fault t (Fault.Protection { addr; access });
-    (match access with
-    | Fault.Write -> mark_touched t seg page
-    | Fault.Read -> ());
-    seg
+  if seg.state.(p) land access_bit access = 0 then
+    raise_fault t (Fault.Protection { addr; access })
+
+(* Check an [n]-byte access at [addr] (n <= page_size): charge pages and
+   lines as [n] bytewise accesses would, fault at the first illegal byte,
+   mark a store's pages dirty (pre-imaging them when a checkpoint is
+   armed) and return the segment. *)
+let scalar_check t addr n access =
+  let seg = find t addr in
+  if seg == none then begin
+    charge_byte t addr;
+    raise_fault t (Fault.Unmapped { addr; access })
+  end;
+  let p0 = (addr - seg.base) lsr page_shift in
+  enter_page t seg p0 addr access;
+  let last = addr + n - 1 in
+  let seg_end = seg.base + seg.len in
+  if last >= seg_end then begin
+    (* Into the hole page after the segment; the bytes before it share the
+       first byte's line. *)
+    charge_byte t seg_end;
+    raise_fault t (Fault.Unmapped { addr = seg_end; access })
+  end;
+  let p1 = (last - seg.base) lsr page_shift in
+  if p1 <> p0 then
+    (* The first byte of the second page is where a bytewise walk would
+       fault; charge and check it as such. *)
+    enter_page t seg p1 (seg.base + (p1 lsl page_shift)) access
+  else if last lsr cache_line_shift <> addr lsr cache_line_shift then
+    touch_line t (last lsr cache_line_shift);
+  if access = Fault.Write then begin
+    mark_touched t seg p0;
+    if p1 <> p0 then mark_touched t seg p1
+  end;
+  seg
 
 let read8 t addr =
   t.reads <- t.reads + 1;
-  let seg = check t addr Fault.Read in
-  Char.code (Bytes.get seg.data (phys_off seg (addr - seg.base)))
+  let seg = t.cache in
+  let off = addr - seg.base in
+  if fits seg off 1 && Array.unsafe_get seg.state (off lsr page_shift) land readable <> 0
+  then begin
+    charge_byte t addr;
+    Char.code (Bytes.unsafe_get seg.data off)
+  end
+  else
+    let seg = scalar_check t addr 1 Fault.Read in
+    Char.code (Bytes.get seg.data (phys_off seg (addr - seg.base)))
 
 let write8 t addr v =
   t.writes <- t.writes + 1;
-  let seg = check t addr Fault.Write in
-  Bytes.set seg.data (phys_off seg (addr - seg.base)) (Char.chr (v land 0xFF))
+  let seg = t.cache in
+  let off = addr - seg.base in
+  let c = Char.unsafe_chr (v land 0xFF) in
+  if fits seg off 1 && Array.unsafe_get seg.state (off lsr page_shift) = hot t then begin
+    charge_byte t addr;
+    Bytes.unsafe_set seg.data off c
+  end
+  else
+    let seg = scalar_check t addr 1 Fault.Write in
+    Bytes.set seg.data (phys_off seg (addr - seg.base)) c
+
+(* A word may cross a page inside its segment on the fast path: both
+   pages' words are checked.  In a meshed segment the two pages may sit
+   on non-adjacent physical pages, so a crossing word moves bytewise. *)
+let split seg off = seg.aliased && off land (page_size - 1) > page_size - word_size
+
+let read64 t addr =
+  t.reads <- t.reads + 1;
+  let seg = t.cache in
+  let off = addr - seg.base and st = seg.state in
+  if
+    fits seg off word_size
+    && Array.unsafe_get st (off lsr page_shift)
+       land Array.unsafe_get st ((off + word_size - 1) lsr page_shift)
+       land readable <> 0
+  then begin
+    charge_word t addr;
+    Int64.to_int (Bytes.get_int64_le seg.data off)
+  end
+  else
+    let seg = scalar_check t addr word_size Fault.Read in
+    let off = addr - seg.base in
+    if split seg off then begin
+      let v = ref 0 in
+      for i = word_size - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get seg.data (phys_off seg (off + i)))
+      done;
+      !v
+    end
+    else Int64.to_int (Bytes.get_int64_le seg.data (phys_off seg off))
+
+let write64 t addr v =
+  t.writes <- t.writes + 1;
+  let seg = t.cache in
+  let off = addr - seg.base and st = seg.state and hot_word = hot t in
+  if
+    fits seg off word_size
+    && Array.unsafe_get st (off lsr page_shift) = hot_word
+    && Array.unsafe_get st ((off + word_size - 1) lsr page_shift) = hot_word
+  then begin
+    charge_word t addr;
+    Bytes.set_int64_le seg.data off (Int64.of_int v)
+  end
+  else
+    (* Every byte validates before any mutates: a word straddling into an
+       unmapped or protected page never tears. *)
+    let seg = scalar_check t addr word_size Fault.Write in
+    let off = addr - seg.base in
+    if split seg off then
+      for i = 0 to word_size - 1 do
+        Bytes.set seg.data (phys_off seg (off + i)) (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
+      done
+    else Bytes.set_int64_le seg.data (phys_off seg off) (Int64.of_int v)
 
 (* --- bulk validation ---
 
@@ -480,36 +646,23 @@ let validate t ~addr ~len access =
   let rec seg_runs pos acc =
     if pos >= fin then List.rev acc
     else
-      match find_segment t pos with
-      | None ->
+      let seg = find t pos in
+      if seg == none then begin
         charge_byte t pos;
         raise_fault t (Fault.Unmapped { addr = pos; access })
-      | Some seg ->
-        let seg_end = seg.base + seg.len in
-        let run_end = min fin seg_end in
-        let run_end =
-          if seg.aliased then
-            min run_end
-              (seg.base + ((((pos - seg.base) lsr page_shift) + 1) lsl page_shift))
-          else run_end
-        in
-        let first_page = (pos - seg.base) lsr page_shift in
-        let last_page = (run_end - 1 - seg.base) lsr page_shift in
-        for p = first_page to last_page do
-          let page_base = seg.base + (p lsl page_shift) in
-          let page_first = max pos page_base in
-          touch_page t (page_first lsr page_shift);
-          if not (prot_allows seg.prot.(p) access) then begin
-            touch_line t (page_first lsr cache_line_shift);
-            raise_fault t (Fault.Protection { addr = page_first; access })
-          end;
-          let page_last = min (run_end - 1) (page_base + page_size - 1) in
-          charge_lines t ~first:page_first ~last:page_last
-        done;
-        seg_runs run_end
-          ({ rseg = seg; seg_off = pos - seg.base; buf_off = pos - addr;
-             rlen = run_end - pos }
-          :: acc)
+      end;
+      let run_end = min fin (seg.base + seg.len) in
+      let run_end = if seg.aliased then min run_end ((pos lor (page_size - 1)) + 1) else run_end in
+      for p = (pos - seg.base) lsr page_shift to (run_end - 1 - seg.base) lsr page_shift do
+        let page_base = seg.base + (p lsl page_shift) in
+        let page_first = max pos page_base in
+        enter_page t seg p page_first access;
+        let page_last = min (run_end - 1) (page_base + page_size - 1) in
+        charge_lines t ~first:page_first ~last:page_last
+      done;
+      seg_runs run_end
+        ({ rseg = seg; seg_off = pos - seg.base; buf_off = pos - addr; rlen = run_end - pos }
+        :: acc)
   in
   if len = 0 then [] else seg_runs addr []
 
@@ -522,70 +675,6 @@ let mark_runs_touched t runs =
         mark_touched t r.rseg p
       done)
     runs
-
-(* --- word access ---
-
-   Fast path: the word lies entirely inside one segment (the overwhelming
-   majority of accesses).  Validates the one or two pages spanned, charges
-   pages and lines exactly as eight bytewise accesses would, then blits
-   through the segment's contiguous backing store — a word may cross a
-   page boundary inside a segment without falling off the fast path. *)
-
-let word_check t seg addr access =
-  let last = addr + word_size - 1 in
-  let p0 = (addr - seg.base) lsr page_shift in
-  let p1 = (last - seg.base) lsr page_shift in
-  touch_page t (addr lsr page_shift);
-  touch_line t (addr lsr cache_line_shift);
-  if not (prot_allows seg.prot.(p0) access) then
-    raise_fault t (Fault.Protection { addr; access });
-  if p1 <> p0 then begin
-    (* The first byte of the second page is where a bytewise walk would
-       fault; charge and check it as such. *)
-    let q = seg.base + (p1 lsl page_shift) in
-    touch_page t (q lsr page_shift);
-    touch_line t (q lsr cache_line_shift);
-    if not (prot_allows seg.prot.(p1) access) then
-      raise_fault t (Fault.Protection { addr = q; access })
-  end
-  else if last lsr cache_line_shift <> addr lsr cache_line_shift then
-    touch_line t (last lsr cache_line_shift);
-  match access with
-  | Fault.Write ->
-    mark_touched t seg p0;
-    if p1 <> p0 then mark_touched t seg p1
-  | Fault.Read -> ()
-
-let read64 t addr =
-  t.reads <- t.reads + 1;
-  match find_segment t addr with
-  | Some seg when (not seg.aliased) && addr + word_size <= seg.base + seg.len ->
-    word_check t seg addr Fault.Read;
-    Int64.to_int (Bytes.get_int64_le seg.data (addr - seg.base))
-  | _ ->
-    (* Straddles the segment end, starts unmapped, or lies in a meshed
-       segment (where a word may span two physical pages): the generic
-       validator faults at the exact first offending byte and charges
-       identically to the fast path. *)
-    let runs = validate t ~addr ~len:word_size Fault.Read in
-    let buf = Bytes.create word_size in
-    List.iter (fun r -> Bytes.blit r.rseg.data (run_off r) buf r.buf_off r.rlen) runs;
-    Int64.to_int (Bytes.get_int64_le buf 0)
-
-let write64 t addr v =
-  t.writes <- t.writes + 1;
-  match find_segment t addr with
-  | Some seg when (not seg.aliased) && addr + word_size <= seg.base + seg.len ->
-    word_check t seg addr Fault.Write;
-    Bytes.set_int64_le seg.data (addr - seg.base) (Int64.of_int v)
-  | _ ->
-    (* All eight bytes validate before any mutates: a word straddling into
-       an unmapped or protected page never tears. *)
-    let runs = validate t ~addr ~len:word_size Fault.Write in
-    mark_runs_touched t runs;
-    let buf = Bytes.create word_size in
-    Bytes.set_int64_le buf 0 (Int64.of_int v);
-    List.iter (fun r -> Bytes.blit buf r.buf_off r.rseg.data (run_off r) r.rlen) runs
 
 (* --- bulk access --- *)
 
@@ -648,51 +737,28 @@ let fill_random t ~addr ~len rng =
       end)
     runs
 
-let cstring ?limit t addr =
+let cstring ?(limit = max_int) t addr =
   let buf = Buffer.create 16 in
-  let limit = match limit with Some n -> n | None -> max_int in
-  (* Scan page by page inside the containing segment, validating each page
-     once and searching the backing bytes directly for the terminator. *)
+  (* Page by page: check each chunk's first byte as a one-byte read would,
+     then search the backing bytes for the terminator up to the page end
+     (one physical translation covers the chunk). *)
   let rec scan pos budget =
     if budget <= 0 then Buffer.contents buf
     else
-      match find_segment t pos with
-      | None ->
-        charge_byte t pos;
-        raise_fault t (Fault.Unmapped { addr = pos; access = Fault.Read })
-      | Some seg ->
-        let page = (pos - seg.base) lsr page_shift in
-        touch_page t (pos lsr page_shift);
-        if not (prot_allows seg.prot.(page) Fault.Read) then begin
-          touch_line t (pos lsr cache_line_shift);
-          raise_fault t (Fault.Protection { addr = pos; access = Fault.Read })
-        end;
-        let page_end =
-          min (seg.base + ((page + 1) lsl page_shift)) (seg.base + seg.len)
-        in
-        (* Compare rather than add: [budget] defaults to [max_int], and
-           [pos + budget] would overflow. *)
-        let stop = if budget < page_end - pos then pos + budget else page_end in
-        (* The scan never leaves the current virtual page, so one physical
-           translation covers the whole chunk. *)
-        let off = phys_off seg (pos - seg.base) in
-        let n = stop - pos in
-        let nul =
-          match Bytes.index_from_opt seg.data off '\000' with
-          | Some k when k < off + n -> Some (k - off)
-          | Some _ | None -> None
-        in
-        (match nul with
-        | Some k ->
-          charge_lines t ~first:pos ~last:(pos + k);
-          t.reads <- t.reads + k + 1;
-          Buffer.add_subbytes buf seg.data off k;
-          Buffer.contents buf
-        | None ->
-          charge_lines t ~first:pos ~last:(stop - 1);
-          t.reads <- t.reads + n;
-          Buffer.add_subbytes buf seg.data off n;
-          scan stop (budget - n))
+      let seg = scalar_check t pos 1 Fault.Read in
+      let n = min budget ((pos lor (page_size - 1)) + 1 - pos) in
+      let off = phys_off seg (pos - seg.base) in
+      match Bytes.index_from_opt seg.data off '\000' with
+      | Some k when k < off + n ->
+        charge_lines t ~first:pos ~last:(pos + k - off);
+        t.reads <- t.reads + k - off + 1;
+        Buffer.add_subbytes buf seg.data off (k - off);
+        Buffer.contents buf
+      | Some _ | None ->
+        charge_lines t ~first:pos ~last:(pos + n - 1);
+        t.reads <- t.reads + n;
+        Buffer.add_subbytes buf seg.data off n;
+        scan (pos + n) (budget - n)
   in
   scan addr limit
 
@@ -702,80 +768,71 @@ let alias t ~src ~dst ~live =
   if src land (page_size - 1) <> 0 || dst land (page_size - 1) <> 0 then
     invalid_arg "Mem.alias: pages must be page-aligned";
   if src = dst then invalid_arg "Mem.alias: src and dst are the same page";
-  match find_segment t src with
-  | None -> invalid_arg "Mem.alias: src is not mapped"
-  | Some seg ->
-    if dst < seg.base || dst >= seg.base + seg.len then
-      invalid_arg "Mem.alias: src and dst must lie in one segment";
-    let sv = (src - seg.base) lsr page_shift in
-    let dv = (dst - seg.base) lsr page_shift in
-    let ps = seg.phys.(sv) in
-    let pd = seg.phys.(dv) in
-    if ps = pd then invalid_arg "Mem.alias: pages already share a backing page";
-    if seg.refcnt.(pd) <> 1 then
-      invalid_arg "Mem.alias: dst's backing page is shared (mesh it as src)";
-    if seg.prot.(sv) <> Read_write || seg.prot.(dv) <> Read_write then
-      invalid_arg "Mem.alias: both pages must be Read_write";
-    List.iter
-      (fun (off, len) ->
-        if off < 0 || len < 0 || off + len > page_size then
-          invalid_arg "Mem.alias: live range outside the page")
-      live;
-    (* The merge writes into the survivor: pre-image it first so a rewind
-       across this mesh restores its exact pre-merge bytes.  The copy is
-       allocator-internal compaction, not a program access — no stats or
-       TLB/cache charges (the virtual address stream is unchanged). *)
-    if live <> [] then mark_touched_phys t seg ps;
-    (match t.ckpt with
-    | Some c when seg.born_epoch <> t.epoch ->
-      c.mesh_log <- (seg, dv, pd) :: c.mesh_log
-    | Some _ | None -> ());
-    List.iter
-      (fun (off, len) ->
-        Bytes.blit seg.data ((pd lsl page_shift) + off) seg.data
-          ((ps lsl page_shift) + off) len)
-      live;
-    (* Two touched physical pages collapse into one: the retired page's
-       count transfers to the survivor (or cancels if both were counted).
-       The retired page's bytes are deliberately NOT scrubbed — nothing
-       maps to it, and keeping them lets a rewind resurrect the page
-       without an extra pre-image. *)
-    if seg.touched.(pd) then begin
-      seg.touched.(pd) <- false;
-      if seg.touched.(ps) then t.touched_pages <- t.touched_pages - 1
-      else seg.touched.(ps) <- true
-    end;
-    seg.phys.(dv) <- ps;
-    seg.refcnt.(ps) <- seg.refcnt.(ps) + 1;
-    seg.refcnt.(pd) <- 0;
-    seg.meshes <- seg.meshes + 1;
-    seg.aliased <- true
+  let seg = find t src in
+  if seg == none then invalid_arg "Mem.alias: src is not mapped";
+  if dst < seg.base || dst >= seg.base + seg.len then
+    invalid_arg "Mem.alias: src and dst must lie in one segment";
+  let sv = (src - seg.base) lsr page_shift in
+  let dv = (dst - seg.base) lsr page_shift in
+  let ps = seg.phys.(sv) in
+  let pd = seg.phys.(dv) in
+  if ps = pd then invalid_arg "Mem.alias: pages already share a backing page";
+  if seg.refcnt.(pd) <> 1 then
+    invalid_arg "Mem.alias: dst's backing page is shared (mesh it as src)";
+  if seg.state.(sv) land seg.state.(dv) land prot_bits <> prot_bits then
+    invalid_arg "Mem.alias: both pages must be Read_write";
+  List.iter
+    (fun (off, len) ->
+      if off < 0 || len < 0 || off + len > page_size then
+        invalid_arg "Mem.alias: live range outside the page")
+    live;
+  (* The merge writes into the survivor: pre-image it first so a rewind
+     across this mesh restores its exact pre-merge bytes.  The copy is
+     allocator-internal compaction, not a program access — no stats or
+     TLB/cache charges (the virtual address stream is unchanged). *)
+  if live <> [] then mark_touched_phys t seg ps;
+  (match t.ckpt with
+  | Some c when seg.born_epoch <> t.epoch -> c.mesh_log <- (seg, dv, pd) :: c.mesh_log
+  | Some _ | None -> ());
+  List.iter
+    (fun (off, len) ->
+      Bytes.blit seg.data ((pd lsl page_shift) + off) seg.data ((ps lsl page_shift) + off) len)
+    live;
+  (* Two touched physical pages collapse into one: the retired page's
+     count transfers to the survivor (or cancels if both were counted).
+     The retired page's bytes are deliberately NOT scrubbed — nothing
+     maps to it, and keeping them lets a rewind resurrect the page
+     without an extra pre-image. *)
+  if seg.state.(pd) land touched_bit <> 0 then begin
+    seg.state.(pd) <- seg.state.(pd) land lnot touched_bit;
+    if seg.state.(ps) land touched_bit <> 0 then t.touched_pages <- t.touched_pages - 1
+    else seg.state.(ps) <- seg.state.(ps) lor touched_bit
+  end;
+  seg.phys.(dv) <- ps;
+  seg.refcnt.(ps) <- seg.refcnt.(ps) + 1;
+  seg.refcnt.(pd) <- 0;
+  seg.meshes <- seg.meshes + 1;
+  seg.aliased <- true;
+  if t.cache == seg then t.cache <- none
 
 let backing_page t addr =
-  match find_segment t addr with
-  | None -> invalid_arg "Mem.backing_page: unmapped address"
-  | Some seg ->
-    seg.base + (seg.phys.((addr - seg.base) lsr page_shift) lsl page_shift)
+  let seg = find t addr in
+  if seg == none then invalid_arg "Mem.backing_page: unmapped address";
+  seg.base + (seg.phys.((addr - seg.base) lsr page_shift) lsl page_shift)
 
 (* --- checkpoint / rewind --- *)
 
-let checkpoint t =
-  (* Incremental by construction: arming copies nothing.  If a checkpoint
-     was already armed its undo log is dropped (the old window commits) —
-     only pages dirtied after this call will ever be pre-imaged. *)
+(* Arm an empty undo log in a fresh epoch, so every page is clean. *)
+let arm t ck_next_base =
   t.ckpt <-
-    Some
-      {
-        pre = [];
-        pre_count = 0;
-        born = [];
-        gone = [];
-        prot_log = [];
-        mesh_log = [];
-        ck_next_base = t.next_base;
-      };
+    Some { pre = []; pre_count = 0; born = []; gone = []; prot_log = []; mesh_log = []; ck_next_base };
   t.epoch <- t.epoch + 1;
   t.dirty <- 0
+
+(* Incremental by construction: arming copies nothing.  If a checkpoint
+   was already armed its undo log is dropped (the old window commits) —
+   only pages dirtied after this call will ever be pre-imaged. *)
+let checkpoint t = arm t t.next_base
 
 let checkpointed t = Option.is_some t.ckpt
 
@@ -790,16 +847,25 @@ let rewind t =
   | Some c ->
     (* Segments mapped since the checkpoint vanish wholesale... *)
     let segments_discarded = List.length c.born in
-    List.iter (fun base -> t.segments <- Imap.remove base t.segments) c.born;
+    List.iter
+      (fun base ->
+        let i = index_of_base t base in
+        t.touched_unmapped <- t.touched_unmapped + touched_in t.segs.(i);
+        remove t i)
+      c.born;
     (* ...segments unmapped since come back exactly as they were (their
        records were never mutated after the unmap, and any writes before
        it have pre-images below). *)
     let segments_remapped = List.length c.gone in
-    List.iter (fun seg -> t.segments <- Imap.add seg.base seg t.segments) c.gone;
+    List.iter
+      (fun seg ->
+        insert t seg;
+        t.touched_unmapped <- t.touched_unmapped - touched_in seg)
+      c.gone;
     (* Protection pre-states, newest first: the oldest entry for a page
        lands last, restoring its arm-time protection. *)
     let protections_restored = List.length c.prot_log in
-    List.iter (fun (seg, p, prot) -> seg.prot.(p) <- prot) c.prot_log;
+    List.iter (fun (seg, p, code) -> set_prot seg p code) c.prot_log;
     (* Meshes performed inside the window are undone newest-first: each
        virtual page returns to its previous backing page (whose bytes were
        never scrubbed), and the survivor drops a reference.  Pre-images
@@ -817,25 +883,58 @@ let rewind t =
     List.iter
       (fun (seg, p, img) -> Bytes.blit img 0 seg.data (p lsl page_shift) page_size)
       c.pre;
-    let pages_restored = c.pre_count in
     t.next_base <- c.ck_next_base;
-    t.cache <- None;
+    t.cache <- none;
     (* The checkpoint stays armed: a second fault in the resumed window
        rewinds to the same state (double-rewind).  Fresh pre-images will
        be re-saved on the next writes — and they equal these, because the
        pages have just been restored. *)
-    c.pre <- [];
-    c.pre_count <- 0;
-    c.born <- [];
-    c.gone <- [];
-    c.prot_log <- [];
-    c.mesh_log <- [];
-    t.epoch <- t.epoch + 1;
-    t.dirty <- 0;
-    { pages_restored; segments_remapped; segments_discarded; protections_restored }
+    arm t c.ck_next_base;
+    { pages_restored = c.pre_count; segments_remapped; segments_discarded; protections_restored }
 
 let dirty_pages t = t.dirty
 let preimaged_pages t = t.preimaged
+
+let check_invariants t =
+  let fail fmt = Printf.ksprintf (fun s -> failwith ("Mem.check_invariants: " ^ s)) fmt in
+  let pre = Hashtbl.create 16 and touched = ref 0 and dirty = ref 0 in
+  Option.iter
+    (fun c ->
+      List.iter (fun (seg, p, _) -> Hashtbl.replace pre (seg.base, p) ()) c.pre;
+      if List.length c.pre <> c.pre_count then fail "pre_count %d is off" c.pre_count)
+    t.ckpt;
+  Array.iteri
+    (fun i seg ->
+      if i >= t.nsegs && seg != none then fail "index slot %d past the live segments" i;
+      let limit = if i + 1 < t.nsegs then t.segs.(i + 1).base else t.next_base in
+      if i < t.nsegs && seg.base + seg.len + page_size > limit then
+        fail "0x%x: out of order or without its hole page" seg.base;
+      let refs = Array.make (Array.length seg.state) 0 in
+      Array.iter (fun p -> refs.(p) <- refs.(p) + 1) seg.phys;
+      Array.iteri
+        (fun p w ->
+          let is_touched = w land touched_bit <> 0 and now = dirtied w = t.epoch in
+          let where = lazy (Printf.sprintf "0x%x page %d" seg.base p) in
+          if refs.(p) <> seg.refcnt.(p) then fail "%s: refcnt %d, backs %d" (Lazy.force where) seg.refcnt.(p) refs.(p);
+          if w land prot_bits = writable || dirtied w > t.epoch then fail "%s: bad word %x" (Lazy.force where) w;
+          if refs.(p) = 0 && is_touched then fail "%s: retired but touched" (Lazy.force where);
+          if refs.(p) > 0 && now && not is_touched then fail "%s: dirty, not touched" (Lazy.force where);
+          if refs.(p) > 0 && now && t.ckpt <> None && seg.born_epoch <> t.epoch
+             && not (Hashtbl.mem pre (seg.base, p))
+          then fail "%s: dirty since the checkpoint without a pre-image" (Lazy.force where);
+          if refs.(p) > 0 && now then incr dirty;
+          if is_touched then incr touched)
+        seg.state;
+      let retired = Array.fold_left (fun n r -> if r = 0 then n + 1 else n) 0 refs in
+      if retired <> seg.meshes || seg.aliased <> (retired > 0) || seg.born_epoch > t.epoch then
+        fail "0x%x: %d retired pages, meshes %d, aliased %b" seg.base retired seg.meshes seg.aliased)
+    t.segs;
+  if !touched + t.touched_unmapped <> t.touched_pages then
+    fail "touched_pages %d, %d live + %d unmapped" t.touched_pages !touched t.touched_unmapped;
+  if !dirty > t.dirty then fail "%d pages dirty, dirty count %d" !dirty t.dirty;
+  let i = search t.segs t.cache.base 0 t.nsegs in
+  if t.cache != none && (i < 0 || t.segs.(i) != t.cache || t.cache.aliased) then
+    fail "cached segment 0x%x is not live and never meshed" t.cache.base
 
 let stats t =
   {

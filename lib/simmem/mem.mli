@@ -219,3 +219,8 @@ val touched_pages : t -> int
 (** Number of distinct pages ever written — the proxy this simulation uses
     for resident-set size / page-level locality (paper §4.5 discusses
     DieHard's poorer page-level locality). *)
+
+val check_invariants : t -> unit
+(** Raise [Failure] naming the first broken invariant of the page-state
+    words, mesh refcounts, pre-image coverage of the dirty set, segment
+    index, lookup cache and {!touched_pages} count.  O(mapped pages). *)

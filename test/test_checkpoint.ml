@@ -185,6 +185,53 @@ let test_mesh_page_edge_fault () =
   check "both pages bit-for-bit back" true
     (Mem.read_bytes mem ~addr:a ~len:(2 * page) = before)
 
+(* --- the scalar fast path across epochs and rewinds --- *)
+
+let test_recheckpoint_preimages_dirty_page () =
+  (* Pages dirtied in the previous window are clean in the next one: their
+     next stores must take a pre-image, however hot they were. *)
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (2 * page) in
+  Mem.checkpoint mem;
+  Mem.write8 mem a 1;
+  Mem.write64 mem (a + page) 1;
+  Mem.checkpoint mem;
+  Mem.write8 mem a 2;
+  Mem.write64 mem (a + page) 2;
+  check_int "both re-dirtied pages pre-imaged" 4 (Mem.preimaged_pages mem);
+  ignore (Mem.rewind mem);
+  check_int "rewind undoes the write8" 1 (Mem.read8 mem a);
+  check_int "and the write64" 1 (Mem.read64 mem (a + page))
+
+let test_reinserted_segment_through_cache () =
+  (* The window unmaps [a] and maps, writes and caches [b]; rewind brings
+     [a] back and drops [b], and the cache must follow. *)
+  let mem = Mem.create () in
+  let a = Mem.mmap mem page in
+  Mem.write8 mem a 7;
+  Mem.checkpoint mem;
+  Mem.write8 mem (a + 1) 8;
+  Mem.munmap mem a;
+  let b = Mem.mmap mem page in
+  Mem.write8 mem b 9;
+  ignore (Mem.rewind mem);
+  let unmapped_at addr f =
+    match f () with
+    | _ -> false
+    | exception Fault.Error (Fault.Unmapped { addr = x; _ }) -> x = addr
+  in
+  check "discarded b: write8 faults" true (unmapped_at b (fun () -> Mem.write8 mem b 1));
+  check "discarded b: read8 faults" true (unmapped_at b (fun () -> Mem.read8 mem b));
+  check_int "re-inserted a reads its old byte" 7 (Mem.read8 mem a);
+  check_int "and not the window's" 0 (Mem.read8 mem (a + 1));
+  Mem.write8 mem (a + 1) 10;
+  Mem.write64 mem (a + 8) 11;
+  check_int "a writable through the cache" 10 (Mem.read8 mem (a + 1));
+  check_int "word too" 11 (Mem.read64 mem (a + 8));
+  check_int "b's base is handed out again" b (Mem.mmap mem page);
+  check_int "as a fresh zeroed page" 0 (Mem.read8 mem b);
+  Mem.check_invariants mem
+
 (* --- QCheck equivalence: checkpoint -> mutate -> rewind = identity --- *)
 
 type op =
@@ -356,6 +403,10 @@ let suite =
     Alcotest.test_case "discard stops pre-imaging" `Quick test_discard_stops_preimaging;
     Alcotest.test_case "rewind spans mesh" `Quick test_rewind_spans_mesh;
     Alcotest.test_case "mesh page-edge fault" `Quick test_mesh_page_edge_fault;
+    Alcotest.test_case "re-checkpoint pre-images a dirty page" `Quick
+      test_recheckpoint_preimages_dirty_page;
+    Alcotest.test_case "re-inserted segment through the cache" `Quick
+      test_reinserted_segment_through_cache;
     QCheck_alcotest.to_alcotest prop_rewind_is_identity;
     Alcotest.test_case "heap restore = untouched twin" `Quick
       test_heap_restore_matches_untouched_twin;

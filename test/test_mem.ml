@@ -280,6 +280,232 @@ let prop_disjoint_writes_do_not_interfere =
       Mem.write8 mem (a + j) y;
       Mem.read8 mem (a + i) = x && Mem.read8 mem (a + j) = y)
 
+
+(* --- the scalar fast path's invalidation ---
+
+   A scalar access that hits the cached segment and finds its page-state
+   word already permissive skips every check.  Each test below breaks if
+   the operation it names stops resetting the cache or the word. *)
+
+let fault_of f =
+  match f () with
+  | exception Fault.Error fault -> Some fault
+  | _ -> None
+
+let unmapped addr access = Some (Fault.Unmapped { addr; access })
+let protection addr access = Some (Fault.Protection { addr; access })
+
+let test_munmap_drops_cached_segment () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (2 * 4096) in
+  Mem.write8 mem (a + 10) 1;
+  Mem.write64 mem (a + 16) 2;
+  (* both pages dirty, the segment cached: the next stores would be fast *)
+  Mem.munmap mem a;
+  check "write8 faults at its byte" true
+    (fault_of (fun () -> Mem.write8 mem (a + 10) 3) = unmapped (a + 10) Fault.Write);
+  check "write64 faults at its first byte" true
+    (fault_of (fun () -> Mem.write64 mem (a + 16) 4) = unmapped (a + 16) Fault.Write);
+  check "read8 faults" true
+    (fault_of (fun () -> Mem.read8 mem (a + 10)) = unmapped (a + 10) Fault.Read)
+
+let test_protect_dirty_page () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem 4096 in
+  Mem.write8 mem a 1;
+  Mem.write64 mem (a + 8) 2;
+  Mem.protect mem ~addr:a ~len:4096 Mem.Read_only;
+  check "write8 to the dirty page now faults" true
+    (fault_of (fun () -> Mem.write8 mem a 3) = protection a Fault.Write);
+  check "write64 too" true
+    (fault_of (fun () -> Mem.write64 mem (a + 8) 3) = protection (a + 8) Fault.Write);
+  check_int "reads still allowed" 1 (Mem.read8 mem a);
+  Mem.protect mem ~addr:a ~len:4096 Mem.No_access;
+  check "No_access: read8 faults" true
+    (fault_of (fun () -> Mem.read8 mem a) = protection a Fault.Read);
+  check "No_access: read64 faults" true
+    (fault_of (fun () -> Mem.read64 mem (a + 8)) = protection (a + 8) Fault.Read);
+  Mem.protect mem ~addr:a ~len:4096 Mem.Read_write;
+  Mem.write8 mem a 5;
+  check_int "writable again" 5 (Mem.read8 mem a)
+
+let test_alias_through_cache () =
+  let mem = Mem.create () in
+  let a = Mem.mmap mem (2 * 4096) in
+  let other = Mem.mmap mem 4096 in
+  let src = a and dst = a + 4096 in
+  Mem.write8 mem (dst + 5) 0x11;
+  check_int "dst cached and dirty" 0x11 (Mem.read8 mem (dst + 5));
+  Mem.alias mem ~src ~dst ~live:[ (5, 1) ];
+  Mem.write8 mem (dst + 9) 0x22;
+  check_int "write8 via dst lands on the shared page" 0x22 (Mem.read8 mem (src + 9));
+  check_int "and reads back via dst" 0x22 (Mem.read8 mem (dst + 9));
+  Mem.write8 mem (src + 9) 0x33;
+  check_int "dst sees src's store" 0x33 (Mem.read8 mem (dst + 9));
+  (* A miss on another segment, then back: the meshed segment must not
+     re-enter the cache. *)
+  ignore (Mem.read8 mem other);
+  ignore (Mem.read8 mem (src + 9));
+  Mem.write64 mem (src + 16) 0x4444;
+  check_int "read64 via dst after a cache miss" 0x4444 (Mem.read64 mem (dst + 16));
+  check_int "merged live byte" 0x11 (Mem.read8 mem (src + 5));
+  (* A word across the boundary into the meshed page: its high half lands
+     on the shared backing page, at the start of [src]. *)
+  Mem.write64 mem (dst - 4) 0x0807060504030201;
+  check_int "a word across the meshed boundary reads back" 0x0807060504030201
+    (Mem.read64 mem (dst - 4));
+  check_int "its high half is on the shared page" 0x05 (Mem.read8 mem src)
+
+(* --- qcheck: scalar accesses against their bulk twins ---
+
+   Two address spaces receive the same random mmap / munmap / protect /
+   bulk / checkpoint / rewind / alias sequence; each scalar access runs as
+   read8/write8/read64/write64 on one and as the equal read_bytes /
+   write_bytes on the other.  Results, exact faults, TLB and cache miss
+   deltas, touched, dirty and pre-imaged pages must agree, and
+   [check_invariants] must hold on both after every op. *)
+
+type op =
+  | Map of int  (* pages *)
+  | Unmap of int  (* which segment ever mapped *)
+  | Protect of int * int * int  (* segment, page, protection *)
+  | Scalar of int * int * int * int  (* kind, segment, offset, value *)
+  | Bulk of bool * int * int * int  (* store?, segment, offset, length *)
+  | Checkpoint
+  | Rewind
+  | Alias of int * int * int * bool  (* segment, src page, dst page, merge? *)
+
+let show_op = function
+  | Map n -> Printf.sprintf "Map %d" n
+  | Unmap s -> Printf.sprintf "Unmap %d" s
+  | Protect (s, p, k) -> Printf.sprintf "Protect (%d,%d,%d)" s p k
+  | Scalar (k, s, o, v) -> Printf.sprintf "Scalar (%d,%d,%d,%d)" k s o v
+  | Bulk (w, s, o, l) -> Printf.sprintf "Bulk (%b,%d,%d,%d)" w s o l
+  | Checkpoint -> "Checkpoint"
+  | Rewind -> "Rewind"
+  | Alias (s, a, b, m) -> Printf.sprintf "Alias (%d,%d,%d,%b)" s a b m
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun n -> Map (1 + n)) (int_bound 3));
+        (1, map (fun s -> Unmap s) nat);
+        (2, map3 (fun s p k -> Protect (s, p, k)) nat (int_bound 3) (int_bound 2));
+        (12, map2 (fun (k, s) (o, v) -> Scalar (k, s, o, v)) (pair (int_bound 3) nat) (pair nat int));
+        (3, map2 (fun (w, s) (o, l) -> Bulk (w, s, o, l)) (pair bool nat) (pair nat (int_bound 5000)));
+        (2, return Checkpoint);
+        (2, return Rewind);
+        (1, map2 (fun (s, a) (b, m) -> Alias (s, a, b, m)) (pair nat (int_bound 3)) (pair (int_bound 3) bool));
+      ])
+
+let prop_scalar_matches_bulk =
+  QCheck.Test.make ~name:"scalar accesses match bulk twins; invariants hold" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_range 1 80) gen_op))
+    (fun ops ->
+      let m1 = Mem.create () and m2 = Mem.create () in
+      let segs = ref [||] in
+      let pick s = if !segs = [||] then None else Some !segs.(s mod Array.length !segs) in
+      let both f =
+        let r1 = try Ok (f m1) with Fault.Error e -> Error (Some e) | Invalid_argument _ -> Error None in
+        let r2 = try Ok (f m2) with Fault.Error e -> Error (Some e) | Invalid_argument _ -> Error None in
+        if r1 <> r2 then QCheck.Test.fail_report "the twins diverged on a shared op"
+      in
+      let scalar ~kind base off v =
+        let addr = base + off in
+        let n = if kind < 2 then 1 else 8 in
+        let s1 = Mem.stats m1 and s2 = Mem.stats m2 in
+        let attempt f = try Ok (f ()) with Fault.Error e -> Error e in
+        let r1 =
+          attempt (fun () ->
+              match kind with
+              | 0 -> Mem.read8 m1 addr
+              | 1 -> Mem.write8 m1 addr v; 0
+              | 2 -> Mem.read64 m1 addr
+              | _ -> Mem.write64 m1 addr v; 0)
+        in
+        let r2 =
+          attempt (fun () ->
+              let b = Bytes.create 8 in
+              Bytes.set_int64_le b 0 (Int64.of_int v);
+              if kind land 1 = 1 then begin
+                Mem.write_bytes m2 ~addr (Bytes.sub_string b 0 n);
+                0
+              end
+              else
+                let s = Mem.read_bytes m2 ~addr ~len:n in
+                if n = 1 then Char.code s.[0]
+                else Int64.to_int (String.get_int64_le s 0))
+        in
+        let e1 = Mem.stats m1 and e2 = Mem.stats m2 in
+        let misses (a : Mem.stats) (b : Mem.stats) =
+          (b.tlb_misses - a.tlb_misses, b.cache_misses - a.cache_misses)
+        in
+        let ops (a : Mem.stats) (b : Mem.stats) = (b.reads - a.reads, b.writes - a.writes) in
+        let ops_agree =
+          match r1 with
+          | Ok _ ->
+            (* A scalar access counts one operation, a bulk one its bytes. *)
+            let r, w = ops s1 e1 in
+            ops s2 e2 = (n * r, n * w)
+          | Error _ -> ops s2 e2 = (0, 0) && fst (ops s1 e1) + snd (ops s1 e1) = 1
+        in
+        if r1 <> r2 then QCheck.Test.fail_reportf "0x%x kind %d: results differ" addr kind;
+        if misses s1 e1 <> misses s2 e2 then
+          QCheck.Test.fail_reportf "0x%x kind %d: miss deltas differ" addr kind;
+        if not ops_agree then QCheck.Test.fail_reportf "0x%x kind %d: op counts differ" addr kind
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Map pages ->
+            let b1 = Mem.mmap m1 (pages * 4096) and b2 = Mem.mmap m2 (pages * 4096) in
+            if b1 <> b2 then QCheck.Test.fail_report "bases differ";
+            segs := Array.append !segs [| (b1, pages) |]
+          | Unmap s -> Option.iter (fun (base, _) -> both (fun m -> Mem.munmap m base)) (pick s)
+          | Protect (s, p, k) ->
+            Option.iter
+              (fun (base, pages) ->
+                let prot = [| Mem.No_access; Mem.Read_only; Mem.Read_write |].(k) in
+                both (fun m -> Mem.protect m ~addr:(base + (p mod pages * 4096)) ~len:1 prot))
+              (pick s)
+          | Scalar (kind, s, o, v) ->
+            Option.iter
+              (fun (base, pages) -> scalar ~kind base ((o mod ((pages * 4096) + 16)) - 8) v)
+              (pick s)
+          | Bulk (store, s, o, len) ->
+            Option.iter
+              (fun (base, pages) ->
+                let addr = base + (o mod (pages * 4096)) in
+                if store then
+                  both (fun m -> Mem.write_bytes m ~addr (String.init len (fun i -> Char.chr ((i * 31 + o) land 0xFF))))
+                else both (fun m -> ignore (Mem.read_bytes m ~addr ~len)))
+              (pick s)
+          | Checkpoint -> both Mem.checkpoint
+          | Rewind -> if Mem.checkpointed m1 then both (fun m -> ignore (Mem.rewind m))
+          | Alias (s, a, b, merge) ->
+            Option.iter
+              (fun (base, pages) ->
+                let src = base + (a mod pages * 4096) and dst = base + (b mod pages * 4096) in
+                both (fun m -> Mem.alias m ~src ~dst ~live:(if merge then [ (64, 64) ] else [])))
+              (pick s));
+          Mem.check_invariants m1;
+          Mem.check_invariants m2;
+          if
+            Mem.touched_pages m1 <> Mem.touched_pages m2
+            || Mem.dirty_pages m1 <> Mem.dirty_pages m2
+            || Mem.preimaged_pages m1 <> Mem.preimaged_pages m2
+          then QCheck.Test.fail_reportf "after %s: page counts differ" (show_op op))
+        ops;
+      (* Every byte of every segment ever mapped reads the same. *)
+      Array.iter
+        (fun (base, pages) ->
+          for p = 0 to pages - 1 do
+            both (fun m -> Mem.read_bytes m ~addr:(base + (p * 4096)) ~len:4096)
+          done)
+        !segs;
+      true)
+
 let suite =
   [
     Alcotest.test_case "mmap aligned base" `Quick test_mmap_returns_aligned_base;
@@ -306,6 +532,9 @@ let suite =
     Alcotest.test_case "cstring" `Quick test_cstring;
     Alcotest.test_case "stats counting" `Quick test_stats_counting;
     Alcotest.test_case "touched pages" `Quick test_touched_pages;
+    Alcotest.test_case "munmap drops the cached segment" `Quick test_munmap_drops_cached_segment;
+    Alcotest.test_case "protect a dirty page" `Quick test_protect_dirty_page;
+    Alcotest.test_case "alias through the cache" `Quick test_alias_through_cache;
     Alcotest.test_case "process exit" `Quick test_process_exit;
     Alcotest.test_case "process exit code" `Quick test_process_exit_code;
     Alcotest.test_case "process crash" `Quick test_process_crash;
@@ -315,4 +544,5 @@ let suite =
     Alcotest.test_case "fuel unlimited" `Quick test_fuel_unlimited;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_writes_do_not_interfere;
+    QCheck_alcotest.to_alcotest prop_scalar_matches_bulk;
   ]
